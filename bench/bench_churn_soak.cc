@@ -24,13 +24,12 @@
 //   - speed (full scenario only): summed over cycles, the delta re-solve
 //     is at least 10x faster than the cold full solve.
 //
-// Extra flags (before the shared ones): --smoke shrinks the scenario to
-// T=260 tenants, a 3-day horizon, and 2 cycles for CI; the speed ratio is
-// reported but not gated there (sub-second timings are too noisy).
+// Extra flag: --smoke shrinks the scenario to T=260 tenants, a 3-day
+// horizon, and 2 cycles for CI; the speed ratio is reported but not gated
+// there (sub-second timings are too noisy).
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <stdexcept>
@@ -295,7 +294,7 @@ SoakResult RunDelta(const Workload& workload, const SoakScenario& scenario,
     result.cycles.push_back(stats);
     stream += PlanStream(plan);
   }
-  result.fingerprint = bench::Fnv1a64(stream);
+  result.fingerprint = Fnv1a64(stream);
   return result;
 }
 
@@ -346,17 +345,10 @@ int main(int argc, char** argv) {
 
   const std::string bench_name = "churn_soak";
   bool smoke = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  BenchOptions options = ParseBenchArgs(static_cast<int>(passthrough.size()),
-                                        passthrough.data(), bench_name);
+  BenchOptions options = ParseBenchArgs(
+      argc, argv, bench_name,
+      {SwitchFlag("--smoke", &smoke,
+                  "  T=260 tenants, 3-day horizon, 2 cycles (CI scale)")});
   BenchReport report(bench_name, options);
 
   SoakScenario scenario;
@@ -473,9 +465,7 @@ int main(int argc, char** argv) {
             << " s -> " << FormatDouble(speedup, 1) << "x"
             << (smoke ? " (not gated in --smoke)" : " (gate: >= 10x)")
             << "\n";
-  char fp[32];
-  std::snprintf(fp, sizeof(fp), "%016llx",
-                static_cast<unsigned long long>(delta.fingerprint));
+  const std::string fp = Hex64(delta.fingerprint);
   std::cout << "Delta plan fingerprint: " << fp
             << (deterministic ? " (identical at solver-jobs 1/2/4)"
                               : " (MISMATCH across solver-jobs!)")

@@ -20,21 +20,18 @@
 // container the shard fan-out speedup is not demonstrable and fingerprint
 // identity plus the asymptotic wall-time curve are the claims.
 //
-// Extra flags (before the shared ones): --smoke (points 10k + 50k, the CI
-// tier-1 configuration), --tenants=N[,N...] (explicit point list),
-// --flat-max-tenants=N (default 10000; 0 disables the flat baseline),
-// --expect-plan=<16 hex> (pins the first point's plan fingerprint; CI uses
-// one constant across the AVX2 and forced-scalar legs to prove the plan is
-// identical on both dispatch targets).
+// Extra flags: --smoke (points 10k + 50k, the CI tier-1 configuration),
+// --tenants=N[,N...] (explicit point list), --flat-max-tenants=N (default
+// 10000; 0 disables the flat baseline), --expect-plan=<16 hex> (pins the
+// first point's plan fingerprint; CI uses one constant across the AVX2 and
+// forced-scalar legs to prove the plan is identical on both dispatch
+// targets).
 
-#include <cctype>
 #include <chrono>
-#include <climits>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_util.h"
@@ -45,48 +42,15 @@
 
 namespace {
 
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-uint64_t FoldBytes(uint64_t hash, const void* data, size_t len) {
-  const unsigned char* bytes = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    hash ^= bytes[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-std::string Hex(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
+/// The raw bytes of an array, for chaining into Fnv1a64.
+std::string_view Bytes(const void* data, size_t len) {
+  return std::string_view(static_cast<const char*>(data), len);
 }
 
 double Seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
       .count();
-}
-
-/// Strict integer parse (whole string, base 10); the shared CLI contract
-/// is that a malformed flag value exits 2 up front, never a silent 0.
-bool ParseInt(const char* text, int* out) {
-  char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || value < INT_MIN || value > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(value);
-  return true;
-}
-
-bool IsHex16(const std::string& text) {
-  if (text.size() != 16) return false;
-  for (char c : text) {
-    if (!std::isxdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -99,45 +63,35 @@ int main(int argc, char** argv) {
   std::vector<int> points = {10000, 50000, 100000, 1000000};
   int flat_max_tenants = 10000;
   std::string expect_plan;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      points = {10000, 50000};
-    } else if (std::strncmp(argv[i], "--tenants=", 10) == 0) {
-      points.clear();
-      std::istringstream ss(argv[i] + 10);
-      std::string n;
-      bool valid = true;
-      while (std::getline(ss, n, ',')) {
-        int value = 0;
-        valid = valid && ParseInt(n.c_str(), &value) && value > 0;
-        points.push_back(value);
-      }
-      if (points.empty() || !valid) {
-        std::cerr << "--tenants needs a comma-separated list of positive "
-                     "tenant counts\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--flat-max-tenants=", 19) == 0) {
-      if (!ParseInt(argv[i] + 19, &flat_max_tenants) ||
-          flat_max_tenants < 0) {
-        std::cerr << "--flat-max-tenants needs a nonnegative integer "
-                     "(0 disables the flat baseline)\n";
-        return 2;
-      }
-    } else if (std::strncmp(argv[i], "--expect-plan=", 14) == 0) {
-      expect_plan = argv[i] + 14;
-      if (!IsHex16(expect_plan)) {
-        std::cerr << "--expect-plan needs a 16-hex-digit fingerprint\n";
-        return 2;
-      }
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  BenchOptions options = ParseBenchArgs(static_cast<int>(passthrough.size()),
-                                        passthrough.data(), bench_name);
+  BenchOptions options = ParseBenchArgs(
+      argc, argv, bench_name,
+      {BenchFlag{"--smoke", "  points 10k + 50k (CI tier-1)",
+                 [&points](const std::string&) {
+                   points = {10000, 50000};
+                   return true;
+                 },
+                 false},
+       BenchFlag{"--tenants", "=N[,N...]  explicit point list",
+                 [&points](const std::string& value) {
+                   points.clear();
+                   std::istringstream ss(value);
+                   std::string n;
+                   while (std::getline(ss, n, ',')) {
+                     int count = 0;
+                     if (!ParseIntAtLeast(n, 1, &count)) return false;
+                     points.push_back(count);
+                   }
+                   return !points.empty();
+                 }},
+       IntFlag("--flat-max-tenants", &flat_max_tenants, 0,
+               "=N  largest point with a flat baseline (default 10000; 0 "
+               "disables it)"),
+       BenchFlag{"--expect-plan",
+                 "=HEX  pinned first-point plan fingerprint (16 hex digits)",
+                 [&expect_plan](const std::string& value) {
+                   expect_plan = value;
+                   return IsHex64(value);
+                 }}});
   BenchReport report(bench_name, options);
 
   std::string points_text;
@@ -200,16 +154,18 @@ int main(int argc, char** argv) {
     report.AddMetric("epochize_peak_bytes" + suffix,
                      static_cast<double>(gauge.peak_bytes()));
 
-    uint64_t workload_fp = kFnvBasis;
+    uint64_t workload_fp = kFnv1a64Offset;
     for (size_t i = 0; i < vectors->size(); ++i) {
       const auto& v = (*vectors)[i];
       int32_t header[2] = {(*tenants)[i].id,
                            (*tenants)[i].time_zone_offset_hours};
-      workload_fp = FoldBytes(workload_fp, header, sizeof(header));
-      workload_fp = FoldBytes(workload_fp, v.word_indices().data(),
-                              v.word_indices().size() * sizeof(uint32_t));
-      workload_fp = FoldBytes(workload_fp, v.word_bits().data(),
-                              v.word_bits().size() * sizeof(uint64_t));
+      workload_fp = Fnv1a64(Bytes(header, sizeof(header)), workload_fp);
+      workload_fp = Fnv1a64(Bytes(v.word_indices().data(),
+                                  v.word_indices().size() * sizeof(uint32_t)),
+                            workload_fp);
+      workload_fp = Fnv1a64(Bytes(v.word_bits().data(),
+                                  v.word_bits().size() * sizeof(uint64_t)),
+                            workload_fp);
     }
 
     auto problem = MakePackingProblem(*tenants, *vectors,
@@ -223,17 +179,16 @@ int main(int argc, char** argv) {
     int64_t requested = 0;
     for (const auto& item : problem->items) requested += item.nodes;
     table.AddRow({std::to_string(num_tenants), "workload", "-", "-", "-",
-                  std::to_string(requested), "-", Hex(workload_fp)});
+                  std::to_string(requested), "-", Hex64(workload_fp)});
 
     auto PlanFp = [](const GroupingSolution& solution) {
-      uint64_t fp = kFnvBasis;
+      uint64_t fp = kFnv1a64Offset;
       for (const auto& group : solution.groups) {
         std::ostringstream os;
         os << group.max_nodes << "[";
         for (TenantId id : group.tenant_ids) os << id << ",";
         os << "];";
-        const std::string text = os.str();
-        fp = FoldBytes(fp, text.data(), text.size());
+        fp = Fnv1a64(os.str(), fp);
       }
       return fp;
     };
@@ -260,13 +215,13 @@ int main(int argc, char** argv) {
         hier->ConsolidationEffectiveness(config.replication_factor,
                                          requested);
     const uint64_t hier_fp = PlanFp(*hier);
-    if (point == 0) first_plan_fp = Hex(hier_fp);
+    if (point == 0) first_plan_fp = Hex64(hier_fp);
     table.AddRow({std::to_string(num_tenants), "hierarchical", "default",
                   std::to_string(hier->groups.size()),
                   std::to_string(
                       hier->NodesUsed(config.replication_factor)),
                   std::to_string(requested), FormatDouble(hier_eff, 4),
-                  Hex(hier_fp)});
+                  Hex64(hier_fp)});
     report.AddMetric("hier_seconds" + suffix, hier_seconds);
     report.AddMetric("hier_signature_seconds" + suffix,
                      stats.signature_seconds);
@@ -288,7 +243,7 @@ int main(int argc, char** argv) {
               << FormatDouble(hier_eff, 4) << ", "
               << FormatDouble(hier_seconds, 1) << "s ("
               << stats.num_logical_shards << " shards), plan "
-              << Hex(hier_fp) << "\n";
+              << Hex64(hier_fp) << "\n";
 
     // --- Flat baseline (bounded by --flat-max-tenants) -----------------
     if (num_tenants <= flat_max_tenants) {
@@ -308,7 +263,7 @@ int main(int argc, char** argv) {
                     std::to_string(
                         flat->NodesUsed(config.replication_factor)),
                     std::to_string(requested), FormatDouble(flat_eff, 4),
-                    Hex(PlanFp(*flat))});
+                    Hex64(PlanFp(*flat))});
       report.AddMetric("flat_seconds" + suffix, flat_seconds);
       last_flat_seconds = flat_seconds;
       last_flat_tenants = num_tenants;
@@ -356,11 +311,11 @@ int main(int argc, char** argv) {
                         std::to_string(
                             solution->NodesUsed(config.replication_factor)),
                         std::to_string(requested),
-                        FormatDouble(hier_eff, 4), Hex(fp)});
+                        FormatDouble(hier_eff, 4), Hex64(fp)});
           if (fp != hier_fp) {
             identical = false;
             std::cout << "plan fingerprint drift at " << config_text << ": "
-                      << Hex(fp) << " != " << Hex(hier_fp) << "\n";
+                      << Hex64(fp) << " != " << Hex64(hier_fp) << "\n";
           }
         }
       }

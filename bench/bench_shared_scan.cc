@@ -25,8 +25,6 @@
 // Results land in BENCH_shared_scan.json. --smoke shrinks k for CI.
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -140,7 +138,7 @@ RunStats RunScenario(const QueryCatalog& catalog, const Scenario& scenario,
 
   stats.stream += "completed=" + std::to_string(instance.completed_queries()) +
                   ",busy=" + std::to_string(instance.busy_time()) + ";";
-  stats.fingerprint = bench::Fnv1a64(stats.stream);
+  stats.fingerprint = Fnv1a64(stats.stream);
   stats.hit_rate = gauge.SharedHitRate();
   stats.work_ratio = gauge.SharedWorkRatio();
   stats.sla_pass_rate =
@@ -171,13 +169,6 @@ RunStats RunAllDistinct(const QueryCatalog& catalog, const Scenario& scenario,
   return RunScenario(distinct_catalog, remapped, mode, residents, tenants);
 }
 
-std::string Hex64(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buf);
-}
-
 }  // namespace
 }  // namespace thrifty
 
@@ -187,17 +178,9 @@ int main(int argc, char** argv) {
 
   const std::string bench_name = "shared_scan";
   bool smoke = false;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  BenchOptions options = ParseBenchArgs(static_cast<int>(passthrough.size()),
-                                        passthrough.data(), bench_name);
+  BenchOptions options = ParseBenchArgs(
+      argc, argv, bench_name,
+      {SwitchFlag("--smoke", &smoke, "  64 residents instead of 256 (CI)")});
   BenchReport report(bench_name, options);
 
   QueryCatalog catalog = QueryCatalog::Default();

@@ -240,13 +240,8 @@ int main(int argc, char** argv) {
       const KernelRun& s = sca_runs[i];
       bool match = v.checksum == s.checksum;
       parity_ok = parity_ok && match;
-      char vbuf[32], sbuf[32];
-      std::snprintf(vbuf, sizeof(vbuf), "%016llx",
-                    static_cast<unsigned long long>(v.checksum));
-      std::snprintf(sbuf, sizeof(sbuf), "%016llx",
-                    static_cast<unsigned long long>(s.checksum));
-      table.AddRow({v.name, std::to_string(n), vbuf, sbuf,
-                    match ? "ok" : "MISMATCH"});
+      table.AddRow({v.name, std::to_string(n), Hex64(v.checksum),
+                    Hex64(s.checksum), match ? "ok" : "MISMATCH"});
       std::string key = v.name + "_" + std::to_string(n);
       report.AddMetric(key + "_dispatch_ns_per_word", v.ns_per_word);
       report.AddMetric(key + "_scalar_ns_per_word", s.ns_per_word);
@@ -283,15 +278,9 @@ int main(int argc, char** argv) {
   simd::SetSimdTargetForTest(dispatched);
   bool argmin_match = argmin_checks[0] == argmin_checks[1];
   parity_ok = parity_ok && argmin_match;
-  {
-    char vbuf[32], sbuf[32];
-    std::snprintf(vbuf, sizeof(vbuf), "%016llx",
-                  static_cast<unsigned long long>(argmin_checks[0]));
-    std::snprintf(sbuf, sizeof(sbuf), "%016llx",
-                  static_cast<unsigned long long>(argmin_checks[1]));
-    table.AddRow({"argmin_candidate", "120000-epochs", vbuf, sbuf,
-                  argmin_match ? "ok" : "MISMATCH"});
-  }
+  table.AddRow({"argmin_candidate", "120000-epochs",
+                Hex64(argmin_checks[0]), Hex64(argmin_checks[1]),
+                argmin_match ? "ok" : "MISMATCH"});
   report.AddMetric("argmin_candidate_dispatch_us", argmin_us[0]);
   report.AddMetric("argmin_candidate_scalar_us", argmin_us[1]);
   report.AddMetric("argmin_candidate_speedup", argmin_us[1] / argmin_us[0]);

@@ -10,16 +10,14 @@
 // container the speedup is not demonstrable and fingerprint identity alone
 // is the correctness claim (see the caveat emitted into the JSON).
 //
-// Extra flags (before the shared ones): --tenants=N (default 2000) sizes
-// the workload/two-step stage; --exact-tenants=N (default 12) sizes the
-// synthetic exact-solver instance; --expect=<workload>,<two_step>,<exact>
-// pins the three stage fingerprints (16-hex-digit each) and fails the run
-// on any drift — CI uses this to catch solver-output regressions, not just
-// cross-job nondeterminism.
+// Extra flags: --tenants=N (default 2000) sizes the workload/two-step
+// stage; --exact-tenants=N (default 12) sizes the synthetic exact-solver
+// instance; --expect=<workload>,<two_step>,<exact> pins the three stage
+// fingerprints (16-hex-digit each) and fails the run on any drift — CI
+// uses this to catch solver-output regressions, not just cross-job
+// nondeterminism.
 
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -28,25 +26,6 @@
 #include "bench_util.h"
 
 namespace {
-
-/// Incremental FNV-1a, so fingerprinting a multi-GB activity set never
-/// materializes one giant string.
-uint64_t Fold(uint64_t hash, const std::string& text) {
-  for (char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-std::string Hex(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 double Seconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -64,28 +43,25 @@ int main(int argc, char** argv) {
   int num_tenants = 2000;
   int exact_tenants = 12;
   std::vector<std::string> expected_fps;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--tenants=", 10) == 0) {
-      num_tenants = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--exact-tenants=", 16) == 0) {
-      exact_tenants = std::atoi(argv[i] + 16);
-    } else if (std::strncmp(argv[i], "--expect=", 9) == 0) {
-      std::istringstream ss(argv[i] + 9);
-      std::string fp;
-      while (std::getline(ss, fp, ',')) expected_fps.push_back(fp);
-      if (expected_fps.size() != 3) {
-        std::cerr << "--expect needs exactly three comma-separated "
-                     "fingerprints: workload,two_step,exact\n";
-        return 1;
-      }
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  BenchOptions options = ParseBenchArgs(static_cast<int>(passthrough.size()),
-                                        passthrough.data(), bench_name);
+  BenchOptions options = ParseBenchArgs(
+      argc, argv, bench_name,
+      {IntFlag("--tenants", &num_tenants, 1,
+               "=N  tenants in the workload/two-step stage (default 2000)"),
+       IntFlag("--exact-tenants", &exact_tenants, 1,
+               "=N  tenants in the exact-solver instance (default 12)"),
+       BenchFlag{"--expect",
+                 "=W,T,E  pinned workload,two_step,exact fingerprints "
+                 "(16 hex digits each)",
+                 [&expected_fps](const std::string& value) {
+                   std::istringstream ss(value);
+                   std::string fp;
+                   expected_fps.clear();
+                   while (std::getline(ss, fp, ',')) {
+                     if (!IsHex64(fp)) return false;
+                     expected_fps.push_back(fp);
+                   }
+                   return expected_fps.size() == 3;
+                 }}});
   BenchReport report(bench_name, options);
 
   PrintBanner("Solver scaling: --solver-jobs inside one solve",
@@ -113,7 +89,9 @@ int main(int argc, char** argv) {
     report.AddMetric("workload_seconds_jobs" + std::to_string(jobs),
                      Seconds(t0));
 
-    uint64_t fp = kFnvBasis;
+    // Chained per tenant, so fingerprinting a multi-GB activity set never
+    // materializes one giant string.
+    uint64_t fp = kFnv1a64Offset;
     for (size_t i = 0; i < workload.activity.size(); ++i) {
       std::ostringstream os;
       os << workload.tenants[i].id << ":"
@@ -121,10 +99,10 @@ int main(int argc, char** argv) {
       for (const auto& iv : workload.activity[i].intervals()) {
         os << iv.begin << "-" << iv.end << ",";
       }
-      fp = Fold(fp, os.str());
+      fp = Fnv1a64(os.str(), fp);
     }
     workload_fps.push_back(fp);
-    table.AddRow({"workload", std::to_string(jobs), Hex(fp),
+    table.AddRow({"workload", std::to_string(jobs), Hex64(fp),
                   "avg_active=" +
                       FormatPercent(workload.average_active_ratio, 2)});
     if (jobs == 1) base_workload = std::move(workload);
@@ -159,17 +137,17 @@ int main(int argc, char** argv) {
     report.AddMetric("two_step_seconds_jobs" + std::to_string(jobs),
                      solution->solve_seconds);
 
-    uint64_t fp = kFnvBasis;
+    uint64_t fp = kFnv1a64Offset;
     for (const auto& group : solution->groups) {
       std::ostringstream os;
       os << group.max_nodes << "[";
       for (TenantId id : group.tenant_ids) os << id << ",";
       os << "];";
-      fp = Fold(fp, os.str());
+      fp = Fnv1a64(os.str(), fp);
     }
     two_step_fps.push_back(fp);
     table.AddRow(
-        {"two_step", std::to_string(jobs), Hex(fp),
+        {"two_step", std::to_string(jobs), Hex64(fp),
          "groups=" + std::to_string(solution->groups.size()) + " nodes=" +
              std::to_string(solution->NodesUsed(
                  base_config.replication_factor))});
@@ -215,16 +193,16 @@ int main(int argc, char** argv) {
     report.AddMetric("exact_seconds_jobs" + std::to_string(jobs),
                      Seconds(t0));
 
-    uint64_t fp = kFnvBasis;
+    uint64_t fp = kFnv1a64Offset;
     for (const auto& group : solution->groups) {
       std::ostringstream os;
       os << group.max_nodes << "[";
       for (TenantId id : group.tenant_ids) os << id << ",";
       os << "];";
-      fp = Fold(fp, os.str());
+      fp = Fnv1a64(os.str(), fp);
     }
     exact_fps.push_back(fp);
-    table.AddRow({"exact", std::to_string(jobs), Hex(fp),
+    table.AddRow({"exact", std::to_string(jobs), Hex64(fp),
                   "groups=" + std::to_string(solution->groups.size()) +
                       " nodes=" + std::to_string(solution->NodesUsed(2))});
   }
@@ -250,10 +228,11 @@ int main(int argc, char** argv) {
         {"exact", exact_fps.front()},
     };
     for (size_t s = 0; s < 3; ++s) {
-      if (Hex(got[s].second) != expected_fps[s]) {
+      if (Hex64(got[s].second) != expected_fps[s]) {
         expected_match = false;
         std::cout << "fingerprint drift in " << got[s].first << ": expected "
-                  << expected_fps[s] << ", got " << Hex(got[s].second) << "\n";
+                  << expected_fps[s] << ", got " << Hex64(got[s].second)
+                  << "\n";
       }
     }
     std::cout << "fingerprints match --expect: "

@@ -20,11 +20,10 @@
 // Reported (not gated): cycles/sec of the live soak, per-cycle solver wall
 // time, the controller's P trajectory, and the stream fingerprints. The
 // full scenario runs 400 tenants over 10 cycles; --smoke (CI) shrinks it
-// to the ctest smoke scale.
+// to the ctest smoke scale. --executor-mode=virtual|shared picks the
+// deployed cluster's executor; the other mode runs the cross-mode gate.
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -33,13 +32,6 @@
 #include "soak/soak_harness.h"
 
 namespace {
-
-std::string HexFingerprint(uint64_t fingerprint) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(fingerprint));
-  return std::string(buffer);
-}
 
 /// True when `replay` reproduces every fingerprint surface of `live`.
 bool OutcomesMatch(const thrifty::soak::SoakOutcome& live,
@@ -70,30 +62,22 @@ int main(int argc, char** argv) {
   const std::string bench_name = "streaming_soak";
   bool smoke = false;
   PsExecutorMode executor_mode = PsExecutorMode::kVirtualTime;
-  std::vector<char*> passthrough;
-  passthrough.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strncmp(argv[i], "--executor-mode=", 16) == 0) {
-      const char* value = argv[i] + 16;
-      if (std::strcmp(value, "virtual") == 0) {
-        executor_mode = PsExecutorMode::kVirtualTime;
-      } else if (std::strcmp(value, "dense") == 0) {
-        executor_mode = PsExecutorMode::kDenseReference;
-      } else if (std::strcmp(value, "shared") == 0) {
-        executor_mode = PsExecutorMode::kSharedScan;
-      } else {
-        std::cerr << "bad value for --executor-mode (virtual|dense|shared): "
-                  << value << "\n";
-        return 2;
-      }
-    } else {
-      passthrough.push_back(argv[i]);
-    }
-  }
-  BenchOptions options = ParseBenchArgs(static_cast<int>(passthrough.size()),
-                                        passthrough.data(), bench_name);
+  BenchOptions options = ParseBenchArgs(
+      argc, argv, bench_name,
+      {SwitchFlag("--smoke", &smoke, "  ctest smoke scale (CI)"),
+       BenchFlag{"--executor-mode",
+                 "=virtual|shared  executor of the deployed cluster "
+                 "(default virtual)",
+                 [&executor_mode](const std::string& value) {
+                   if (value == "virtual") {
+                     executor_mode = PsExecutorMode::kVirtualTime;
+                   } else if (value == "shared") {
+                     executor_mode = PsExecutorMode::kSharedScan;
+                   } else {
+                     return false;
+                   }
+                   return true;
+                 }}});
   BenchReport report(bench_name, options);
 
   soak::SoakConfig config;
@@ -215,7 +199,7 @@ int main(int argc, char** argv) {
                   std::to_string(live->plans[c].groups.size()),
                   std::to_string(decision.resolved_groups.size()),
                   std::to_string(decision.untouched_groups.size()),
-                  HexFingerprint(decision.plan_fingerprint)});
+                  Hex64(decision.plan_fingerprint)});
     timings.AddRow({std::to_string(decision.cycle + 1),
                     FormatDouble(decision.solve_wall_ms, 2)});
     report.AddMetric("sla_fraction_c" + std::to_string(c + 1),
@@ -236,14 +220,13 @@ int main(int argc, char** argv) {
             << FormatDouble(cycles_per_sec, 2) << " cycles/s (solver wall "
             << FormatDouble(live->total_solve_wall_ms, 2) << " ms total)\n";
   std::cout << "Event log:  " << live->encoded_log.size() << " bytes, fnv1a "
-            << HexFingerprint(live->event_log_fingerprint) << "\n";
-  std::cout << "Decisions:  fnv1a " << HexFingerprint(
-                   live->decision_fingerprint)
+            << Hex64(live->event_log_fingerprint) << "\n";
+  std::cout << "Decisions:  fnv1a " << Hex64(live->decision_fingerprint)
             << (replay_identical ? " (identical at solver-jobs 1/2/4)"
                                  : " (MISMATCH across replays!)")
             << "\n";
   std::cout << "Controller: fnv1a "
-            << HexFingerprint(live->controller_fingerprint) << ", min P "
+            << Hex64(live->controller_fingerprint) << ", min P "
             << FormatDouble(live->min_sla_fraction, 6)
             << (controller_ok ? " (in band)" : " (OUT OF BAND)") << "\n";
 
@@ -267,11 +250,11 @@ int main(int argc, char** argv) {
 
   report.SetResultsTable(table);
   report.AddText("event_log_fnv1a",
-                 HexFingerprint(live->event_log_fingerprint));
+                 Hex64(live->event_log_fingerprint));
   report.AddText("decision_fnv1a",
-                 HexFingerprint(live->decision_fingerprint));
+                 Hex64(live->decision_fingerprint));
   report.AddText("controller_fnv1a",
-                 HexFingerprint(live->controller_fingerprint));
+                 Hex64(live->controller_fingerprint));
   report.AddMetric("cycles", static_cast<double>(config.cycles));
   report.AddMetric("cycles_per_sec", cycles_per_sec);
   report.AddMetric("live_soak_seconds", live_seconds);
@@ -289,9 +272,9 @@ int main(int argc, char** argv) {
   report.AddText("executor_mode", PsExecutorModeToString(config.executor_mode));
   if (cross.ok()) {
     report.AddText("cross_mode_decision_fnv1a",
-                   HexFingerprint(cross->decision_fingerprint));
+                   Hex64(cross->decision_fingerprint));
     report.AddText("cross_mode_controller_fnv1a",
-                   HexFingerprint(cross->controller_fingerprint));
+                   Hex64(cross->controller_fingerprint));
   }
   report.AddMetric("cross_mode_identity_check_passed",
                    cross_mode_identical ? 1 : 0);

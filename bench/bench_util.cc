@@ -1,10 +1,11 @@
 #include "bench_util.h"
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
-
-#include "common/fnv.h"
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -19,44 +20,16 @@ namespace bench {
 
 namespace {
 
-[[noreturn]] void PrintUsageAndExit(const std::string& bench_name, int code) {
+[[noreturn]] void PrintUsageAndExit(const std::string& bench_name,
+                                    const std::vector<BenchFlag>& flags,
+                                    int code) {
   std::ostream& os = code == 0 ? std::cout : std::cerr;
-  os << "usage: " << bench_name << " [options]\n"
-     << "  --jobs=N     run sweep trials on N worker threads (default 1);\n"
-     << "               results are bit-identical for any N\n"
-     << "  --solver-jobs=N\n"
-     << "               thread each solve / workload composition on N\n"
-     << "               workers (default 1; composes with --jobs);\n"
-     << "               results are bit-identical for any N\n"
-     << "  --warm-start run an extra sequential two-step pass that seeds\n"
-     << "               each sweep point with the previous point's plan\n"
-     << "               and reports per-point time savings / effectiveness\n"
-     << "               deltas (fig7_1 and fig7_5; the cold fingerprinted\n"
-     << "               results are unchanged)\n"
-     << "  --seed=S     base seed for deterministic trial streams\n"
-     << "  --out=DIR    directory for BENCH_" << bench_name
-     << ".json (default .)\n"
-     << "  --no-json    skip writing the JSON result file\n"
-     << "  --help       this message\n";
+  os << "usage: " << bench_name << " [options]\n";
+  for (const BenchFlag& flag : flags) {
+    if (!flag.help.empty()) os << "  " << flag.name << flag.help << "\n";
+  }
+  os << "  --help  this message\n";
   std::exit(code);
-}
-
-/// Accepts "--name=value" or "--name value"; advances *i in the latter case.
-bool MatchValueFlag(int argc, char** argv, int* i, const char* name,
-                    std::string* value) {
-  const char* arg = argv[*i];
-  size_t name_len = std::strlen(name);
-  if (std::strncmp(arg, name, name_len) != 0) return false;
-  if (arg[name_len] == '=') {
-    *value = arg + name_len + 1;
-    return true;
-  }
-  if (arg[name_len] == '\0') {
-    if (*i + 1 >= argc) return false;
-    *value = argv[++*i];
-    return true;
-  }
-  return false;
 }
 
 void AppendJsonEscaped(const std::string& text, std::string* out) {
@@ -97,58 +70,117 @@ std::string JsonNumber(double value) {
 
 }  // namespace
 
-BenchOptions ParseBenchArgs(int argc, char** argv,
-                            const std::string& bench_name) {
-  BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (std::strcmp(argv[i], "--help") == 0 ||
-        std::strcmp(argv[i], "-h") == 0) {
-      PrintUsageAndExit(bench_name, 0);
-    } else if (MatchValueFlag(argc, argv, &i, "--jobs", &value) ||
-               MatchValueFlag(argc, argv, &i, "-j", &value)) {
-      char* end = nullptr;
-      options.jobs = static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (value.empty() || *end != '\0' || options.jobs < 1) {
-        std::cerr << bench_name << ": --jobs needs a positive integer, got '"
-                  << value << "'\n";
-        std::exit(2);
-      }
-    } else if (MatchValueFlag(argc, argv, &i, "--solver-jobs", &value)) {
-      char* end = nullptr;
-      options.solver_jobs =
-          static_cast<int>(std::strtol(value.c_str(), &end, 10));
-      if (value.empty() || *end != '\0' || options.solver_jobs < 1) {
-        std::cerr << bench_name
-                  << ": --solver-jobs needs a positive integer, got '"
-                  << value << "'\n";
-        std::exit(2);
-      }
-    } else if (MatchValueFlag(argc, argv, &i, "--seed", &value)) {
-      char* end = nullptr;
-      options.seed = std::strtoull(value.c_str(), &end, 10);
-      if (value.empty() || *end != '\0') {
-        std::cerr << bench_name << ": --seed needs an unsigned integer, got '"
-                  << value << "'\n";
-        std::exit(2);
-      }
-      options.seed_set = true;
-    } else if (MatchValueFlag(argc, argv, &i, "--out", &value)) {
-      options.out_dir = value;
-    } else if (std::strcmp(argv[i], "--warm-start") == 0) {
-      options.warm_start = true;
-    } else if (std::strcmp(argv[i], "--no-json") == 0) {
-      options.write_json = false;
-    } else {
-      std::cerr << bench_name << ": unknown argument '" << argv[i] << "'\n";
-      PrintUsageAndExit(bench_name, 2);
-    }
-  }
-  return options;
+BenchFlag SwitchFlag(std::string name, bool* on, std::string help) {
+  return BenchFlag{std::move(name), std::move(help),
+                   [on](const std::string&) { return *on = true; }, false};
 }
 
-uint64_t Fnv1a64(const std::string& text) {
-  return thrifty::Fnv1a64(std::string_view(text));
+BenchFlag IntFlag(std::string name, int* out, int min, std::string help) {
+  return BenchFlag{std::move(name), std::move(help),
+                   [out, min](const std::string& value) {
+                     return ParseIntAtLeast(value, min, out);
+                   }};
+}
+
+bool ParseIntAtLeast(const std::string& text, int min, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  long value = std::strtol(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < min ||
+      value > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(value);
+  return true;
+}
+
+bool IsHex64(const std::string& text) {
+  return text.size() == 16 &&
+         std::all_of(text.begin(), text.end(), [](char c) {
+           return std::isxdigit(static_cast<unsigned char>(c)) != 0;
+         });
+}
+
+std::string Hex64(uint64_t value) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buf;
+}
+
+BenchOptions ParseBenchArgs(int argc, char** argv,
+                            const std::string& bench_name,
+                            const std::vector<BenchFlag>& bench_flags) {
+  BenchOptions options;
+  bool no_json = false;
+  std::vector<BenchFlag> flags = {
+      IntFlag("--jobs", &options.jobs, 1,
+              "=N  run sweep trials on N worker threads (default 1); "
+              "results are bit-identical for any N"),
+      IntFlag("-j", &options.jobs, 1, ""),
+      IntFlag("--solver-jobs", &options.solver_jobs, 1,
+              "=N  thread each solve / workload composition on N workers "
+              "(default 1; composes with --jobs); results are "
+              "bit-identical for any N"),
+      SwitchFlag("--warm-start", &options.warm_start,
+                 "  run an extra sequential two-step pass that seeds each "
+                 "sweep point with the previous point's plan and reports "
+                 "per-point time savings / effectiveness deltas (fig7_1 and "
+                 "fig7_5; the cold fingerprinted results are unchanged)"),
+      BenchFlag{"--seed", "=S  base seed for deterministic trial streams",
+                [&options](const std::string& value) {
+                  char* end = nullptr;
+                  options.seed = std::strtoull(value.c_str(), &end, 10);
+                  options.seed_set = true;
+                  return !value.empty() && *end == '\0';
+                }},
+      BenchFlag{"--out",
+                "=DIR  directory for BENCH_" + bench_name +
+                    ".json (default .)",
+                [&options](const std::string& value) {
+                  options.out_dir = value;
+                  return true;
+                }},
+      SwitchFlag("--no-json", &no_json, "  skip writing the JSON result file"),
+  };
+  flags.insert(flags.end(), bench_flags.begin(), bench_flags.end());
+
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintUsageAndExit(bench_name, flags, 0);
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&](const BenchFlag& f) { return f.name == name; });
+    if (flag == flags.end()) {
+      std::cerr << bench_name << ": unknown argument '" << arg << "'\n";
+      PrintUsageAndExit(bench_name, flags, 2);
+    }
+    std::string value;
+    if (!flag->takes_value) {
+      if (eq != std::string::npos) {
+        std::cerr << bench_name << ": " << name << " takes no value\n";
+        std::exit(2);
+      }
+    } else if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (i + 1 < argc) {
+      value = argv[++i];
+    } else {
+      std::cerr << bench_name << ": " << name << " needs a value\n";
+      std::exit(2);
+    }
+    if (!flag->parse(value)) {
+      std::cerr << bench_name << ": bad value for " << name << ": '" << value
+                << "' (expected " << name << flag->help << ")\n";
+      std::exit(2);
+    }
+  }
+  options.write_json = !no_json;
+  return options;
 }
 
 std::string RenderTable(const TablePrinter& table) {
@@ -200,9 +232,7 @@ void BenchReport::Write() {
   if (peak_rss > 0) {
     metrics_.emplace_back("peak_rss_bytes", static_cast<double>(peak_rss));
   }
-  char fingerprint[24];
-  std::snprintf(fingerprint, sizeof(fingerprint), "%016llx",
-                static_cast<unsigned long long>(Fnv1a64(results_table_)));
+  const std::string fingerprint = Hex64(Fnv1a64(results_table_));
 
   std::cout << "\n[" << bench_name_ << "] wall " << FormatDouble(wall_seconds, 2)
             << "s, jobs=" << options_.jobs
@@ -298,9 +328,8 @@ Workload GenerateWorkload(const QueryCatalog& catalog,
 }
 
 std::vector<ActivityVector> EpochizeWorkload(const Workload& workload,
-                                             SimDuration epoch_size, int jobs,
-                                             EpochizePath path,
-                                             EpochizeGauge* gauge) {
+                                             SimDuration epoch_size,
+                                             int jobs) {
   EpochConfig epochs;
   epochs.epoch_size = epoch_size;
   epochs.begin = 0;
@@ -310,20 +339,8 @@ std::vector<ActivityVector> EpochizeWorkload(const Workload& workload,
   if (jobs > 1) pool.emplace(jobs);
   // Per-index slot writes keep the output byte-identical for any `jobs`.
   ParallelFor(pool ? &*pool : nullptr, workload.tenants.size(), [&](size_t i) {
-    if (path == EpochizePath::kStreamed) {
-      vectors[i] = EpochizeIntervals(workload.tenants[i].id,
-                                     workload.activity[i], epochs, gauge);
-    } else {
-      // Legacy reference path: the Θ(d) dense bitmap is the intermediate
-      // the streamed pipeline eliminates; charge it to the gauge for the
-      // window it is alive.
-      size_t bitmap_bytes = ((epochs.NumEpochs() + 63) / 64) * sizeof(uint64_t);
-      if (gauge != nullptr) gauge->Acquire(bitmap_bytes);
-      vectors[i] = ActivityVector::FromBitmap(
-          workload.tenants[i].id,
-          IntervalsToBitmap(workload.activity[i], epochs));
-      if (gauge != nullptr) gauge->Release(bitmap_bytes);
-    }
+    vectors[i] = EpochizeIntervals(workload.tenants[i].id,
+                                   workload.activity[i], epochs);
   });
   return vectors;
 }
@@ -366,7 +383,6 @@ SolverRow RunSolver(GroupingSolver solver, const Workload& workload,
   row.level_set_bytes = solution->LevelSetBytes();
   row.level_set_dense_bytes = solution->LevelSetDenseBytes();
   row.warm_groups_kept = solution->warm_groups_kept;
-  row.warm_groups_dissolved = solution->warm_groups_dissolved;
   row.warm_groups_repaired = solution->warm_groups_repaired;
   row.warm_members_evicted = solution->warm_members_evicted;
   row.warm_members_missing = solution->warm_members_missing;

@@ -10,10 +10,12 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fnv.h"
 #include "core/thrifty.h"
 
 namespace thrifty {
@@ -52,13 +54,43 @@ struct BenchOptions {
   }
 };
 
-/// \brief Parses --jobs/--seed/--out/--no-json/--help; exits on bad usage.
-BenchOptions ParseBenchArgs(int argc, char** argv,
-                            const std::string& bench_name);
+/// \brief A command-line flag a bench declares on top of the shared ones.
+///
+/// A value flag accepts "--name=value" or "--name value"; a switch takes no
+/// value. Either way `parse` receives the value text (empty for a switch)
+/// and returns false if it is malformed.
+struct BenchFlag {
+  /// Flag name with its leading dashes, e.g. "--tenants".
+  std::string name;
+  /// Usage text printed after the name by --help.
+  std::string help;
+  std::function<bool(const std::string& value)> parse;
+  bool takes_value = true;
+};
 
-/// \brief FNV-1a 64-bit fingerprint, used to assert byte-identity of result
-/// tables across --jobs values.
-uint64_t Fnv1a64(const std::string& text);
+/// \brief A switch that sets `*on` when present.
+BenchFlag SwitchFlag(std::string name, bool* on, std::string help);
+
+/// \brief An integer flag whose whole value must be a base-10 integer of
+/// at least `min`.
+BenchFlag IntFlag(std::string name, int* out, int min, std::string help);
+
+/// \brief Strict base-10 parse of all of `text` into an int >= `min`.
+bool ParseIntAtLeast(const std::string& text, int min, int* out);
+
+/// \brief True if `text` is exactly 16 hex digits (a Hex64 fingerprint).
+bool IsHex64(const std::string& text);
+
+/// \brief Formats a 64-bit fingerprint as 16 lowercase hex digits.
+std::string Hex64(uint64_t value);
+
+/// \brief Parses the shared flags (--jobs/--solver-jobs/--seed/--out/
+/// --warm-start/--no-json/--help) plus the bench's own `flags`. An unknown
+/// argument, a missing value or a malformed value prints a message naming
+/// the flag and exits 2.
+BenchOptions ParseBenchArgs(int argc, char** argv,
+                            const std::string& bench_name,
+                            const std::vector<BenchFlag>& flags = {});
 
 /// \brief Renders a TablePrinter to a string.
 std::string RenderTable(const TablePrinter& table);
@@ -128,24 +160,12 @@ struct Workload {
 Workload GenerateWorkload(const QueryCatalog& catalog,
                           const ExperimentConfig& config);
 
-/// \brief Which interval->sparse-word pipeline EpochizeWorkload runs.
-///
-/// kStreamed is the production path (StreamedEpochizer, no dense
-/// intermediate); kDense is the legacy reference path retained so benches
-/// can measure the eliminated dense-bitmap footprint and assert the two
-/// paths produce identical vectors.
-enum class EpochizePath { kStreamed, kDense };
-
-/// \brief Epochizes a workload's activity, tenant-sharded over `jobs`
-/// workers (byte-identical output for any value).
-///
-/// If `gauge` is non-null it records the peak bytes of per-tenant
-/// epochization working state (the dense path's Θ(d) bitmaps vs the
-/// streamed path's O(1) walker), summed over in-flight tenants.
-std::vector<ActivityVector> EpochizeWorkload(
-    const Workload& workload, SimDuration epoch_size, int jobs = 1,
-    EpochizePath path = EpochizePath::kStreamed,
-    EpochizeGauge* gauge = nullptr);
+/// \brief Epochizes a workload's activity through the streamed epochizer,
+/// tenant-sharded over `jobs` workers (byte-identical output for any
+/// value).
+std::vector<ActivityVector> EpochizeWorkload(const Workload& workload,
+                                             SimDuration epoch_size,
+                                             int jobs = 1);
 
 /// \brief Result row of one solver run.
 struct SolverRow {
@@ -159,7 +179,6 @@ struct SolverRow {
   size_t level_set_bytes = 0;        // sparse group-level-set footprint
   size_t level_set_dense_bytes = 0;  // dense-bitmap equivalent footprint
   size_t warm_groups_kept = 0;       // warm-started solves only
-  size_t warm_groups_dissolved = 0;
   size_t warm_groups_repaired = 0;
   size_t warm_members_evicted = 0;
   size_t warm_members_missing = 0;

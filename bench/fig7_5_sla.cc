@@ -124,8 +124,6 @@ int main(int argc, char** argv) {
                        delta_pp);
       report.AddMetric("warm_groups_kept_p" + std::to_string(point),
                        static_cast<double>(row.warm_groups_kept));
-      report.AddMetric("warm_groups_dissolved_p" + std::to_string(point),
-                       static_cast<double>(row.warm_groups_dissolved));
       report.AddMetric("warm_groups_repaired_p" + std::to_string(point),
                        static_cast<double>(row.warm_groups_repaired));
       report.AddMetric("warm_members_evicted_p" + std::to_string(point),

@@ -173,16 +173,13 @@ BENCHMARK(BM_ProcessorSharingChurn)->Arg(1)->Arg(4)->Arg(16);
 void BM_InstanceChurn(benchmark::State& state) {
   // High-concurrency churn, the regime the virtual-time executor targets:
   // `resident` long queries pin the concurrency while short queries arrive
-  // and complete. Arg 0 selects the executor structure, Arg 1 the resident
-  // count — compare dense/64 vs virtual/64 (and /256) for the O(k) vs
-  // O(log k) per-event gap the fig1_1 audit gates on.
-  PsExecutorMode mode = state.range(0) == 0 ? PsExecutorMode::kDenseReference
-                                            : PsExecutorMode::kVirtualTime;
-  int resident = static_cast<int>(state.range(1));
+  // and complete; the arg is the resident count, so 64 vs 256 shows the
+  // O(log k) per-event cost.
+  int resident = static_cast<int>(state.range(0));
   for (auto _ : state) {
     state.PauseTiming();
     SimEngine engine;
-    MppdbInstance instance(0, 8, &engine, InstanceState::kOnline, mode);
+    MppdbInstance instance(0, 8, &engine);
     instance.AddTenant(0, 100);
     QueryTemplate long_tmpl;
     long_tmpl.id = 0;
@@ -210,29 +207,11 @@ void BM_InstanceChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 400);
 }
-BENCHMARK(BM_InstanceChurn)
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 256})
-    ->Args({1, 256});
-
-void BM_IntervalsToBitmap(benchmark::State& state) {
-  Rng rng(13);
-  IntervalSet set;
-  for (int i = 0; i < 2000; ++i) {
-    SimTime begin = rng.NextInt(0, 14 * kDay - kHour);
-    set.Add(begin, begin + rng.NextInt(kSecond, kHour));
-  }
-  EpochConfig epochs{10 * kSecond, 0, 14 * kDay};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(IntervalsToBitmap(set, epochs));
-  }
-}
-BENCHMARK(BM_IntervalsToBitmap);
+BENCHMARK(BM_InstanceChurn)->Arg(64)->Arg(256);
 
 void BM_StreamedEpochize(benchmark::State& state) {
-  // Same interval set as BM_IntervalsToBitmap, but straight to sparse
-  // words: no dense intermediate, and finer grids only cost output words.
+  // 2000 random intervals over 14 days straight to sparse words: finer
+  // grids only cost output words.
   Rng rng(13);
   IntervalSet set;
   for (int i = 0; i < 2000; ++i) {

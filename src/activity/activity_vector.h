@@ -75,16 +75,6 @@ class ActivityVector {
   std::vector<uint64_t> word_bits_;
 };
 
-/// \brief Discretizes activity intervals onto the epoch grid as a dense
-/// bitmap.
-///
-/// This is the dense *reference* discretization: production construction
-/// streams intervals straight into sparse words (see
-/// activity/streamed_epochizer.h) and never allocates the d-bit bitmap;
-/// tests cross-check the two paths against each other.
-DynamicBitmap IntervalsToBitmap(const IntervalSet& intervals,
-                                const EpochConfig& epochs);
-
 /// \brief Builds the activity vector of one tenant log (streamed, no dense
 /// intermediate).
 ActivityVector MakeActivityVector(const TenantLog& log,

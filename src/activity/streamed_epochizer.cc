@@ -69,7 +69,7 @@ bool StreamedEpochizer::Next(uint32_t* word_index, uint64_t* word_bits) {
     }
     range_first_epoch_ = epochs_.EpochOf(begin);
     // end is exclusive; an interval touching an epoch boundary does not
-    // occupy the next epoch (same rule as IntervalsToBitmap).
+    // occupy the next epoch.
     range_last_epoch_ = epochs_.EpochOf(end - 1);
     range_word_ = static_cast<uint32_t>(range_first_epoch_ >> 6);
     range_last_word_ = static_cast<uint32_t>(range_last_epoch_ >> 6);

@@ -22,7 +22,8 @@
 // MakeActivityVector* family), GroupLevelSet's touched-word index (which
 // takes the sparse words as-is via ActivityVector::FromWords), and the
 // runtime paths that epochize activity histories (deployment advisor,
-// elastic scaler). IntervalsToBitmap remains as the dense reference that
+// elastic scaler). The dense bitmap construction survives only as a test
+// oracle (tests/oracles/dense_epochizer.h) that
 // tests/epochize_property_test.cc cross-checks this pipeline against.
 
 #ifndef THRIFTY_ACTIVITY_STREAMED_EPOCHIZER_H_
@@ -80,11 +81,11 @@ void ForEachActivityWord(const IntervalSet& intervals,
 
 /// \brief High-water byte gauge for the epochization stage.
 ///
-/// Thread-safe; benches use one gauge per epochization pass to record the
-/// peak bytes of per-tenant working state (the dense path's Θ(d) bitmap
-/// intermediates vs the streamed path's O(1) walker state) summed over
-/// concurrently in-flight tenants. Scheduling-dependent, so the value
-/// belongs in metrics, never in fingerprinted results.
+/// Thread-safe; one gauge per epochization pass records the peak bytes of
+/// per-tenant working state (the streamed walker's O(1) state, against the
+/// Θ(d) bitmap a dense discretization would hold) summed over concurrently
+/// in-flight tenants. Scheduling-dependent, so the value belongs in
+/// metrics, never in fingerprinted results.
 class EpochizeGauge {
  public:
   void Acquire(size_t bytes);
@@ -97,12 +98,10 @@ class EpochizeGauge {
 };
 
 /// \brief Builds one tenant's sparse activity vector straight from its
-/// interval set — the streamed replacement for
-/// ActivityVector::FromBitmap(IntervalsToBitmap(...)).
+/// interval set, with no dense per-epoch intermediate.
 ///
 /// If `gauge` is non-null, the walker's working-state bytes are charged to
-/// it for the duration of the call (the streamed counterpart of the dense
-/// path's bitmap charge).
+/// it for the duration of the call.
 ActivityVector EpochizeIntervals(TenantId tenant_id,
                                  const IntervalSet& intervals,
                                  const EpochConfig& epochs,

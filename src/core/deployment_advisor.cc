@@ -91,7 +91,6 @@ Result<AdvisorOutput> DeploymentAdvisor::Advise(
   TwoStepOptions two_step;
   two_step.solver_jobs = options_.solver_jobs;
   two_step.warm_start = options_.warm_start;
-  two_step.warm_repair = options_.warm_repair;
   Result<GroupingSolution> solved =
       options_.solver == GroupingSolver::kTwoStep
           ? SolveTwoStep(problem, two_step)

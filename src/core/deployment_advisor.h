@@ -49,10 +49,8 @@ struct AdvisorOptions {
   int solver_jobs = 1;
   /// Optional warm-start seed for the two-step solver (non-owning; must
   /// outlive the Advise call). Infeasible seed groups are repaired by
-  /// eviction per `warm_repair`. Ignored by the FFD solver.
+  /// eviction (see TwoStepOptions::warm_start). Ignored by the FFD solver.
   const GroupingSolution* warm_start = nullptr;
-  /// See TwoStepOptions::warm_repair.
-  bool warm_repair = true;
 };
 
 /// \brief The advisor's output.

@@ -46,8 +46,8 @@ struct ServiceOptions {
   /// Slightly above 1 to absorb millisecond event rounding.
   double sla_tolerance = 1.01;
   /// Executor mode for the per-tenant shadow instances. Cluster instances
-  /// take their mode from Cluster::set_executor_mode; set both when running
-  /// a dual-mode audit so the whole service is on one executor.
+  /// take their mode from Cluster::set_executor_mode; set both to run the
+  /// whole service on one executor mode.
   PsExecutorMode executor_mode = PsExecutorMode::kVirtualTime;
 };
 

@@ -44,7 +44,6 @@
 #include "placement/exact.h"
 #include "placement/heterogeneous.h"
 #include "placement/ffd.h"
-#include "placement/minlp.h"
 #include "placement/plan_io.h"
 #include "placement/problem.h"
 #include "placement/two_step.h"

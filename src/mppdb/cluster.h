@@ -51,8 +51,7 @@ class Cluster {
   }
 
   /// \brief Processor-sharing executor mode for instances created from now
-  /// on (both modes emit byte-identical completion streams; the dense mode
-  /// exists for audits and equivalence tests).
+  /// on.
   void set_executor_mode(PsExecutorMode mode) { executor_mode_ = mode; }
   PsExecutorMode executor_mode() const { return executor_mode_; }
 

@@ -30,8 +30,6 @@ const char* PsExecutorModeToString(PsExecutorMode mode) {
   switch (mode) {
     case PsExecutorMode::kVirtualTime:
       return "virtual-time";
-    case PsExecutorMode::kDenseReference:
-      return "dense-reference";
     case PsExecutorMode::kSharedScan:
       return "shared-scan";
   }
@@ -169,22 +167,10 @@ QueryCompletion MppdbInstance::MakeCompletion(const RunningQuery& q,
 size_t MppdbInstance::RescheduleCompletion() {
   engine_->Cancel(completion_event_);
   completion_event_ = kInvalidEventId;
-  const size_t k = RunningCount();
-  if (k == 0) return 0;
-  size_t touched;
-  double min_remaining;
-  if (mode_ == PsExecutorMode::kDenseReference) {
-    min_remaining = running_[0].finish_tag - virtual_now_;
-    for (const auto& q : running_) {
-      min_remaining = std::min(min_remaining, q.finish_tag - virtual_now_);
-    }
-    touched = k;
-  } else {
-    // tag - V is monotone in the tag, so the heap top's remaining work is
-    // exactly the minimum the dense sweep computes, bit for bit.
-    min_remaining = heap_.front().finish_tag - virtual_now_;
-    touched = 1;
-  }
+  if (heap_.empty()) return 0;
+  // tag - V is monotone in the tag, so the heap top's remaining work is
+  // exactly the minimum over all running queries, bit for bit.
+  const double min_remaining = heap_.front().finish_tag - virtual_now_;
   double share = SpeedFactor() / static_cast<double>(SlotCount());
   // Wall time until the least-remaining query completes under the current
   // share. Ceil so the event never fires before the true completion.
@@ -193,55 +179,39 @@ size_t MppdbInstance::RescheduleCompletion() {
   if (wait < 1 && min_remaining > kDoneEpsilonMs) wait = 1;
   completion_event_ = engine_->ScheduleAfter(
       wait, [this](SimTime t) { OnCompletionEvent(t); });
-  return touched;
+  return 1;
 }
 
 void MppdbInstance::OnCompletionEvent(SimTime now) {
   completion_event_ = kInvalidEventId;
   AdvanceVirtualTime(now);
   uint64_t touched = 0;
+  // Pop every served query: the completion set is downward closed in tag
+  // order, so popping stops at the first unserved top. The heap yields tag
+  // order; callbacks fire in admission order (deterministic, and the order
+  // the dense test oracle's stable sweep produces), hence the sort of the
+  // (usually tiny) batch.
+  std::vector<RunningQuery> batch;
+  while (!heap_.empty()) {
+    ++touched;
+    if (heap_.front().finish_tag - virtual_now_ > kDoneEpsilonMs) break;
+    batch.push_back(heap_.front());
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) touched += HeapSiftDown(0);
+  }
+  std::sort(batch.begin(), batch.end(),
+            [](const RunningQuery& a, const RunningQuery& b) {
+              return a.admission_seq < b.admission_seq;
+            });
   std::vector<QueryCompletion> done;
-  if (mode_ == PsExecutorMode::kDenseReference) {
-    // Single stable-partition pass: completions are collected in admission
-    // order and survivors slide down in place. (The historical per-hit
-    // vector::erase was O(k^2) when many queries finish on one event.)
-    touched += running_.size();
-    size_t kept = 0;
-    for (size_t i = 0; i < running_.size(); ++i) {
-      if (running_[i].finish_tag - virtual_now_ <= kDoneEpsilonMs) {
-        done.push_back(MakeCompletion(running_[i], now));
-      } else {
-        if (kept != i) running_[kept] = running_[i];
-        ++kept;
-      }
-    }
-    running_.resize(kept);
-  } else {
-    // Pop every served query: the completion set is downward closed in tag
-    // order, so popping stops at the first unserved top. The heap yields
-    // tag order; callbacks must fire in admission order (the dense sweep's
-    // deterministic order), hence the sort of the (usually tiny) batch.
-    std::vector<RunningQuery> batch;
-    while (!heap_.empty()) {
-      ++touched;
-      if (heap_.front().finish_tag - virtual_now_ > kDoneEpsilonMs) break;
-      batch.push_back(heap_.front());
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      if (!heap_.empty()) touched += HeapSiftDown(0);
-    }
-    std::sort(batch.begin(), batch.end(),
-              [](const RunningQuery& a, const RunningQuery& b) {
-                return a.admission_seq < b.admission_seq;
-              });
-    for (const RunningQuery& q : batch) done.push_back(MakeCompletion(q, now));
-    if (mode_ == PsExecutorMode::kSharedScan) {
-      // Free slots before rescheduling so the next event's share reflects
-      // the post-completion batch count. A batch's largest tag belongs to a
-      // still-pending member whenever the batch is open (completions are
-      // downward closed in tag order), so closing here is never premature.
-      for (const RunningQuery& q : batch) CloseOutBatchMember(q);
-    }
+  for (const RunningQuery& q : batch) done.push_back(MakeCompletion(q, now));
+  if (mode_ == PsExecutorMode::kSharedScan) {
+    // Free slots before rescheduling so the next event's share reflects the
+    // post-completion batch count. A batch's largest tag belongs to a
+    // still-pending member whenever the batch is open (completions are
+    // downward closed in tag order), so closing here is never premature.
+    for (const RunningQuery& q : batch) CloseOutBatchMember(q);
   }
   for (const QueryCompletion& c : done) {
     auto it = running_per_tenant_.find(c.tenant_id);
@@ -249,7 +219,7 @@ void MppdbInstance::OnCompletionEvent(SimTime now) {
     if (--it->second == 0) running_per_tenant_.erase(it);
   }
   completed_queries_ += done.size();
-  if (RunningCount() == 0 && !done.empty()) {
+  if (heap_.empty() && !done.empty()) {
     busy_time_ += now - busy_since_;
   }
   touched += RescheduleCompletion();
@@ -286,7 +256,7 @@ Status MppdbInstance::Submit(const QuerySubmission& submission,
   SimTime now = engine_->now();
   AdvanceVirtualTime(now);
 
-  if (RunningCount() == 0) {
+  if (heap_.empty()) {
     busy_since_ = now;
     // Rebase the virtual clock at every busy-period start: no running query
     // holds a tag, and a small |V| keeps tag - V exact for the integer-ms
@@ -341,26 +311,21 @@ Status MppdbInstance::Submit(const QuerySubmission& submission,
   // Concurrency is counted in slots: under shared scan a joiner does not
   // raise the pressure on anyone else's share. With all-singleton batches
   // SlotCount() (batch bookkeeping is already done, the query itself is not
-  // yet pushed) equals the non-shared RunningCount() + 1, so the recorded
+  // yet pushed) equals the non-shared heap size + 1, so the recorded
   // peaks (and thus max_concurrency in completions) match byte for byte.
   int k = mode_ == PsExecutorMode::kSharedScan
               ? static_cast<int>(SlotCount())
-              : static_cast<int>(RunningCount()) + 1;
+              : static_cast<int>(heap_.size()) + 1;
   q.concurrency_at_admission = k;
 
-  uint64_t touched = 1;
-  if (mode_ == PsExecutorMode::kDenseReference) {
-    running_.push_back(q);
-  } else {
-    heap_.push_back(q);
-    touched += HeapSiftUp(heap_.size() - 1);
-  }
+  heap_.push_back(q);
+  uint64_t touched = 1 + HeapSiftUp(heap_.size() - 1);
   ++running_per_tenant_[q.tenant_id];
   RecordConcurrencyPeak(q.admission_seq, k);
   touched += RescheduleCompletion();
   if (SimCostGauge* gauge = engine_->cost_gauge()) {
     gauge->RecordSubmit(touched);
-    gauge->RecordRunningSetSize(RunningCount());
+    gauge->RecordRunningSetSize(heap_.size());
     gauge->RecordSlotWork(static_cast<uint64_t>(q.dedicated_latency),
                           static_cast<uint64_t>(slot_work));
     if (mode_ == PsExecutorMode::kSharedScan) {
@@ -400,7 +365,7 @@ Status MppdbInstance::RepairNode() {
 }
 
 SimDuration MppdbInstance::busy_time() const {
-  if (RunningCount() == 0) return busy_time_;
+  if (heap_.empty()) return busy_time_;
   return busy_time_ + (engine_->now() - busy_since_);
 }
 

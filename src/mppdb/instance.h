@@ -12,14 +12,12 @@
 // at SpeedFactor()/k per wall millisecond — an O(1) update regardless of k.
 // Each admitted query gets an immutable finish tag V_admit + dedicated_work;
 // its remaining work at any instant is the single subtraction tag - V, and it
-// completes when that drops to (an epsilon of) zero. Two interchangeable
-// structures realize this:
+// completes when that drops to (an epsilon of) zero. Running queries sit in
+// a binary min-heap keyed (tag, admission_seq), so Submit and completion
+// handling are O(log k) and the next completion falls out of the heap top
+// in O(1). Two modes share that heap:
 //
-//   kVirtualTime (production): a binary min-heap keyed (tag, admission_seq),
-//     so Submit and completion handling are O(log k) and the next completion
-//     falls out of the heap top in O(1).
-//   kDenseReference (audit): the historical O(k) linear sweep over a flat
-//     vector, kept as the reference the virtual-time path is audited against.
+//   kVirtualTime: plain egalitarian processor sharing.
 //   kSharedScan (shared-execution batching): the virtual-time heap plus
 //     SharedDB-style scan sharing — co-resident queries of the same catalog
 //     template form a *shared batch* that occupies ONE processor-sharing
@@ -34,13 +32,15 @@
 //     kVirtualTime — the shared-off byte-identity gate in
 //     bench/bench_shared_scan rests on that.
 //
-// Both paths run the *identical* floating-point arithmetic (same V updates,
-// same tag construction, same tag - V subtraction, same ceil quantization of
-// the next-event wall time). Since IEEE subtraction is monotone in the tag,
-// min-by-tag equals min-by-remaining and the completion set is downward
-// closed in tag order — so the two paths provably emit byte-identical
-// (finish_time, query_id) completion streams; bench/fig1_1_multitenant_perf
-// gates on exactly that before trusting the heap path.
+// The historical O(k) linear sweep over a flat vector survives as a test
+// oracle (tests/oracles/dense_executor.h) running the *identical*
+// floating-point arithmetic (same V updates, same tag construction, same
+// tag - V subtraction, same ceil quantization of the next-event wall time).
+// Since IEEE subtraction is monotone in the tag, min-by-tag equals
+// min-by-remaining and the completion set is downward closed in tag order —
+// so the heap provably emits the sweep's byte-identical (finish_time,
+// query_id) completion stream; tests/executor_equivalence_test.cc checks
+// exactly that.
 
 #ifndef THRIFTY_MPPDB_INSTANCE_H_
 #define THRIFTY_MPPDB_INSTANCE_H_
@@ -79,16 +79,10 @@ enum class InstanceState {
 
 const char* InstanceStateToString(InstanceState state);
 
-/// \brief Which running-query structure the processor-sharing executor uses.
-///
-/// Both modes produce byte-identical completion streams (see the header
-/// comment); kDenseReference exists so benches and property tests can audit
-/// the O(log k) production path against the O(k) sweep it replaced.
+/// \brief How the processor-sharing executor divides capacity.
 enum class PsExecutorMode {
-  /// Finish-tag min-heap: O(log k) per admission/completion (production).
+  /// Finish-tag min-heap: O(log k) per admission/completion.
   kVirtualTime,
-  /// Flat vector with an O(k) sweep per event (audit reference).
-  kDenseReference,
   /// Finish-tag min-heap with SharedDB-style same-template batching: one
   /// shared scan (one PS slot) serves every co-resident query of a
   /// template; joiners pay only a catch-up delta. Degenerates to
@@ -177,13 +171,13 @@ class MppdbInstance {
   Status Submit(const QuerySubmission& submission, const QueryTemplate& tmpl);
 
   /// \brief True if no query is currently executing ("free" in Algorithm 1).
-  bool IsFree() const { return RunningCount() == 0; }
+  bool IsFree() const { return heap_.empty(); }
 
   /// \brief True if any of `tenant`'s queries is currently executing. O(1).
   bool IsServingTenant(TenantId tenant) const;
 
   /// \brief Number of queries currently executing.
-  int Concurrency() const { return static_cast<int>(RunningCount()); }
+  int Concurrency() const { return static_cast<int>(heap_.size()); }
 
   /// \brief Number of processor-sharing slots currently occupied: shared
   /// batches in kSharedScan (each serving >= 1 queries), otherwise equal to
@@ -260,16 +254,11 @@ class MppdbInstance {
     int concurrency;
   };
 
-  size_t RunningCount() const {
-    return mode_ == PsExecutorMode::kDenseReference ? running_.size()
-                                                    : heap_.size();
-  }
-
   /// \brief Share denominator: open batches in kSharedScan, else the
   /// running-query count (bit-identical arithmetic when they coincide).
   size_t SlotCount() const {
     return mode_ == PsExecutorMode::kSharedScan ? batches_.size()
-                                                : RunningCount();
+                                                : heap_.size();
   }
 
   /// \brief Removes a completed member from its batch; closes the batch
@@ -323,10 +312,7 @@ class MppdbInstance {
   SimTime last_progress_update_ = 0;
   uint64_t admission_counter_ = 0;
 
-  /// kDenseReference: admission-ordered flat vector (O(k) sweep per event).
-  std::vector<RunningQuery> running_;
-  /// kVirtualTime/kSharedScan: binary min-heap by (finish_tag,
-  /// admission_seq).
+  /// Running queries: binary min-heap by (finish_tag, admission_seq).
   std::vector<RunningQuery> heap_;
 
   /// kSharedScan: live batches by key, and the joinable (= live) batch of

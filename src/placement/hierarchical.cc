@@ -269,7 +269,6 @@ Result<std::vector<TenantGroupResult>> SolveMergeChunk(
   TwoStepOptions merge_options;
   merge_options.solver_jobs = options.solver_jobs;
   merge_options.warm_start = warm.groups.empty() ? nullptr : &warm;
-  merge_options.warm_repair = true;
   THRIFTY_ASSIGN_OR_RETURN(GroupingSolution merged,
                            SolveTwoStep(merge_problem, merge_options));
 

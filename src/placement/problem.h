@@ -80,10 +80,7 @@ struct GroupingSolution {
   /// Warm-start accounting (two-step only); all 0 on a cold solve.
   /// Seed groups feasible as-is and kept open unchanged.
   size_t warm_groups_kept = 0;
-  /// Seed groups dissolved whole into singletons (repair-disabled mode
-  /// only; with repair enabled a seed group never fully dissolves).
-  size_t warm_groups_dissolved = 0;
-  /// Seed groups made feasible by evicting members (repair mode).
+  /// Seed groups made feasible by evicting members.
   size_t warm_groups_repaired = 0;
   /// Members evicted from repaired seed groups back into the cold pool.
   size_t warm_members_evicted = 0;

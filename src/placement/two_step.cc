@@ -174,7 +174,6 @@ BestCandidate FindBestCandidate(const GroupLevelSet& levels,
 struct InitialGroupResult {
   std::vector<TenantGroupResult> groups;
   size_t warm_kept = 0;
-  size_t warm_dissolved = 0;
   size_t warm_repaired = 0;
   size_t warm_evicted = 0;
 };
@@ -254,7 +253,7 @@ InitialGroupResult SolveInitialGroup(
     const PackingProblem& problem, int nodes,
     std::vector<const PackingItem*> members,
     const std::vector<std::vector<const PackingItem*>>* seeds,
-    bool warm_repair, ThreadPool* pool) {
+    ThreadPool* pool) {
   const int r = problem.replication_factor;
   // Seeding picks the least active tenant first; sorting the whole list by
   // activity makes that the front element at every iteration.
@@ -272,8 +271,7 @@ InitialGroupResult SolveInitialGroup(
   // activity and SLA, computing the seed's level set and Ttp exactly once.
   // Feasible groups are pulled out of the candidate pool and kept open;
   // infeasible ones are repaired in place (the already-built level set is
-  // reused — only the evictees fall back into the pool), or, with repair
-  // disabled, dissolved whole back into the pool as singletons.
+  // reused — only the evictees fall back into the pool).
   std::vector<std::pair<GroupLevelSet, TenantGroupResult>> seeded;
   if (seeds != nullptr && !seeds->empty()) {
     std::unordered_set<const PackingItem*> taken;
@@ -286,10 +284,6 @@ InitialGroupResult SolveInitialGroup(
       }
       kept = seed_members;
       if (levels.Ttp(r) + 1e-12 < problem.sla_fraction) {
-        if (!warm_repair) {
-          ++result.warm_dissolved;
-          continue;
-        }
         result.warm_evicted += RepairSeedGroup(problem, &levels, &kept);
         ++result.warm_repaired;
       } else {
@@ -317,7 +311,7 @@ InitialGroupResult SolveInitialGroup(
       pool == nullptr ? 1 : pool->size() + 1);
 
   // Resume the growth loop on every kept seed group first (in seed order),
-  // so a tightened instance can absorb dissolved singletons...
+  // so a tightened instance can absorb evicted singletons...
   for (auto& [levels, group] : seeded) {
     GrowAndClose(problem, &levels, &group, &remaining, pool, &scratch);
     result.groups.push_back(std::move(group));
@@ -411,14 +405,13 @@ Result<GroupingSolution> SolveTwoStep(const PackingProblem& problem,
   ParallelFor(pool.get(), sized.size(), [&](size_t g) {
     per_size[g] = SolveInitialGroup(problem, sized[g].first,
                                     std::move(sized[g].second), seeds[g],
-                                    options.warm_repair, pool.get());
+                                    pool.get());
   });
 
   GroupingSolution solution;
   solution.warm_members_missing = warm_members_missing;
   for (auto& result : per_size) {
     solution.warm_groups_kept += result.warm_kept;
-    solution.warm_groups_dissolved += result.warm_dissolved;
     solution.warm_groups_repaired += result.warm_repaired;
     solution.warm_members_evicted += result.warm_evicted;
     for (auto& group : result.groups) {

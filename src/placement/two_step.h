@@ -47,9 +47,13 @@ struct TwoStepOptions {
   /// must outlive the solve). Each seed group is re-validated against
   /// *this* problem's activity vectors and SLA: a feasible group is kept as
   /// an already-open group and the growth loop resumes on it; an infeasible
-  /// one is *repaired* (see `warm_repair`) or, with repair disabled,
-  /// dissolved back into singletons that re-enter the normal seed-and-grow
-  /// loop. Tenant ids unknown to this problem are skipped (counted in
+  /// one is *repaired*: the fewest, most-SLA-damaging members are evicted
+  /// one at a time (greedy by the marginal Fig 5.3 outcome of their
+  /// removal, full ties evicting the higher tenant id, so the eviction
+  /// sequence is a deterministic function of the group alone and identical
+  /// at every solver_jobs), the repaired group stays open for the growth
+  /// loop, and only the evictees return to the cold pool. Tenant ids
+  /// unknown to this problem are skipped (counted in
   /// `GroupingSolution::warm_members_missing`), a tenant seeded twice
   /// counts only in its first group, and a seed group spanning several
   /// requested-node sizes is split per size class (step 1 partitions by
@@ -57,16 +61,6 @@ struct TwoStepOptions {
   /// bit-identical to the cold one — see fig7_1/fig7_5 --warm-start for the
   /// measured effectiveness deltas.
   const GroupingSolution* warm_start = nullptr;
-  /// How an infeasible seed group is handled. true (default): *group
-  /// repair* — evict the fewest, most-SLA-damaging members one at a time
-  /// (greedy by the marginal Fig 5.3 outcome of their removal, full ties
-  /// evicting the higher tenant id, so the eviction sequence is a
-  /// deterministic function of the group alone and identical at every
-  /// solver_jobs), keep the repaired group open for the growth loop, and
-  /// return only the evictees to the cold pool. false: the historical
-  /// all-or-nothing behavior — one infeasible member dissolves the whole
-  /// seed group back into singletons.
-  bool warm_repair = true;
 };
 
 /// \brief Solves the problem with the two-step heuristic.

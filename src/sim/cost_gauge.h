@@ -12,13 +12,14 @@ namespace thrifty {
 /// \brief Counts the work the processor-sharing executor does per simulator
 /// event: completion events fired, admissions handled, query records touched
 /// (read, written, or moved) while handling each, and the peak running-set
-/// size (heap or sweep vector).
+/// size.
 ///
 /// Attach one to a SimEngine (SimEngine::set_cost_gauge) and every
-/// MppdbInstance driven by that engine charges to it. The dense-reference
-/// executor touches O(k) records per event; the virtual-time executor
-/// touches O(log k) — the gauge is how benches prove that, so touches are
-/// counted as actual record reads/moves, not asymptotic claims.
+/// MppdbInstance driven by that engine charges to it. The virtual-time
+/// executor touches O(log k) records per event where the dense test oracle
+/// (tests/oracles/dense_executor.h) touches O(k) — the gauge is how tests
+/// prove that, so touches are counted as actual record reads/moves, not
+/// asymptotic claims.
 ///
 /// Thread-safe (relaxed atomics): SweepRunner trials each use their own
 /// engine + gauge, but nothing breaks if one gauge is shared.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "oracles/dense_epochizer.h"
+
 namespace thrifty {
 namespace {
 

@@ -72,8 +72,7 @@ TEST(DeterminismTest, SolversAreDeterministic) {
   EpochConfig epochs{30 * kSecond, 0, composer.horizon_end()};
   std::vector<ActivityVector> vectors;
   for (size_t i = 0; i < tenants.size(); ++i) {
-    vectors.push_back(ActivityVector::FromBitmap(
-        tenants[i].id, IntervalsToBitmap(activity[i], epochs)));
+    vectors.push_back(EpochizeIntervals(tenants[i].id, activity[i], epochs));
   }
   auto problem = *MakePackingProblem(tenants, vectors, 3, 0.999);
   auto two_step_a = *SolveTwoStep(problem);

@@ -1,6 +1,6 @@
 // Randomized equivalence harness for the streamed epochization engine:
 // StreamedEpochizer / ForEachActivityWord / EpochizeIntervals must produce
-// exactly the nonzero words of the dense reference discretization
+// exactly the nonzero words of the dense discretization test oracle
 // (IntervalsToBitmap) over generated interval sets — word-boundary
 // straddles, zero-length and adjacent intervals, intervals touching
 // EpochConfig::end, and single-epoch grids included. Every randomized case
@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "oracles/dense_epochizer.h"
 
 namespace thrifty {
 namespace {
@@ -235,6 +236,33 @@ TEST(StreamedEpochizerPropertyTest, RandomizedStreamedVsDense) {
     RunRandomizedCase(case_id);
     if (HasFatalFailure() || HasNonfatalFailure()) break;  // first repro only
   }
+}
+
+TEST(StreamedEpochizerTest, WorkingStateUndercutsDenseBitmap) {
+  // E = 0.1 s over a 3-day horizon: d = 2 592 000 epochs, so the dense
+  // discretization holds a ceil(d/64) * 8 = 324 000 B bitmap per tenant
+  // while it builds one. The streamed walker's peak working state must
+  // stay at least 2x below that, with identical output.
+  const EpochConfig epochs{SecondsToDuration(0.1), 0, 3 * kDay};
+  const size_t dense_bytes = (epochs.NumEpochs() + 63) / 64 * sizeof(uint64_t);
+  ASSERT_EQ(dense_bytes, 324000u);
+  EpochizeGauge gauge;
+  Rng rng(0xE70C);
+  for (TenantId id = 0; id < 8; ++id) {
+    IntervalSet set;
+    for (int burst = 0; burst < 20; ++burst) {
+      SimTime begin = rng.NextInt(0, 3 * kDay - kHour);
+      set.Add(begin, begin + rng.NextInt(kSecond, kHour));
+    }
+    const ActivityVector streamed = EpochizeIntervals(id, set, epochs, &gauge);
+    const ActivityVector dense =
+        ActivityVector::FromBitmap(id, IntervalsToBitmap(set, epochs));
+    EXPECT_EQ(streamed.word_indices(), dense.word_indices());
+    EXPECT_EQ(streamed.word_bits(), dense.word_bits());
+  }
+  EXPECT_GT(gauge.peak_bytes(), 0u);
+  EXPECT_LE(2 * gauge.peak_bytes(), dense_bytes)
+      << "streamed peak " << gauge.peak_bytes() << " B";
 }
 
 TEST(ActivityVectorFromWordsTest, AdoptsSparseStorage) {

@@ -1,18 +1,18 @@
 // Randomized equivalence harness for the virtual-time processor-sharing
-// executor: MppdbInstance in kVirtualTime (finish-tag min-heap) and
-// kDenseReference (linear sweep) mode must emit byte-identical
-// (finish_time, query_id, max_concurrency) completion streams and agree on
-// every derived observable (busy time, active-tenant counts) over arbitrary
+// executor: MppdbInstance (kVirtualTime, finish-tag min-heap) and the
+// DenseExecutor test oracle (O(k) linear sweep, historical max_concurrency
+// write-back) must emit byte-identical (finish_time, query_id,
+// max_concurrency) completion streams and agree on every derived observable
+// (busy time, active-tenant counts, engine events processed) over arbitrary
 // interleavings of arrivals, completions, node failures and repairs. Every
-// randomized case derives its script from an id-keyed Rng fork, so a failure
-// names the case id and replays deterministically.
+// randomized case derives its script from an id-keyed Rng fork, so a
+// failure names the case id and replays deterministically.
 //
-// The harness also carries the brute-force max_concurrency oracle: the
-// historical O(k) write-back semantics ("highest concurrency seen during the
-// query's life, sampled after each admission") replayed in test code and
-// checked against the monotone-deque implementation in both modes.
+// The Fig 1.1 scenarios are pinned here as well: the panel grid and a
+// 256-resident churn point with node failure and repair run on both
+// executors, and a fig7_4-style ThriftyService replay runs on the heap;
+// each completion stream's FNV-1a fingerprint is fixed.
 
-#include <memory>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -20,10 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/rng.h"
-#include "mppdb/instance.h"
-#include "mppdb/query_model.h"
-#include "sim/engine.h"
+#include "core/thrifty.h"
+#include "oracles/dense_executor.h"
 
 namespace thrifty {
 namespace {
@@ -32,7 +32,8 @@ QueryTemplate MakeTemplate(TemplateId id, double work_seconds_per_gb,
                            double serial = 0.0) {
   QueryTemplate t;
   t.id = id;
-  t.name = "q" + std::to_string(id);
+  t.name = "q";
+  t.name += std::to_string(id);
   t.work_seconds_per_gb = work_seconds_per_gb;
   t.serial_fraction = serial;
   return t;
@@ -53,46 +54,25 @@ struct Script {
   std::vector<Op> ops;
 };
 
-// Replays `script` against one instance and returns a textual trace of every
-// observable: completion stream lines (in callback order) interleaved with
-// post-op samples. Two executor modes are equivalent iff their traces match
-// byte for byte. `oracle_failures` collects max_concurrency mismatches
-// against the brute-force O(k) write-back oracle.
-std::vector<std::string> RunScript(const Script& script, PsExecutorMode mode,
-                                   std::vector<std::string>* oracle_failures) {
+// Replays `script` against one `Executor` (MppdbInstance or DenseExecutor)
+// and returns a textual trace of every observable: completion stream lines
+// (in callback order) interleaved with post-op samples. Two executors are
+// equivalent iff their traces match byte for byte.
+template <typename Executor>
+std::vector<std::string> RunScript(const Script& script) {
   SimEngine engine;
-  SimCostGauge gauge;
-  engine.set_cost_gauge(&gauge);
-  MppdbInstance instance(0, script.nodes, &engine, InstanceState::kOnline,
-                         mode);
+  Executor instance(0, script.nodes, &engine);
   for (const auto& [tenant, gb] : script.tenants) {
     instance.AddTenant(tenant, gb);
   }
 
   std::vector<std::string> trace;
-  // Brute-force oracle: per running query, the max concurrency sampled after
-  // each admission (the pre-refactor O(k) write-back semantics).
-  std::unordered_map<QueryId, int> oracle_max;
-
   instance.set_completion_callback([&](const QueryCompletion& c) {
     std::ostringstream line;
     line << "done t=" << c.finish_time << " q=" << c.query_id
          << " tenant=" << c.tenant_id << " lat=" << c.MeasuredLatency()
          << " maxk=" << c.max_concurrency;
     trace.push_back(line.str());
-    auto it = oracle_max.find(c.query_id);
-    if (it == oracle_max.end()) {
-      oracle_failures->push_back("completion for unknown query " +
-                                 std::to_string(c.query_id));
-    } else {
-      if (it->second != c.max_concurrency) {
-        oracle_failures->push_back(
-            "q=" + std::to_string(c.query_id) + " oracle max_concurrency " +
-            std::to_string(it->second) + " != reported " +
-            std::to_string(c.max_concurrency));
-      }
-      oracle_max.erase(it);
-    }
   });
 
   QueryId next_query_id = 100;
@@ -104,12 +84,7 @@ std::vector<std::string> RunScript(const Script& script, PsExecutorMode mode,
           s.query_id = next_query_id++;
           s.tenant_id = op.tenant;
           s.template_id = op.tmpl.id;
-          Status status = instance.Submit(s, op.tmpl);
-          if (status.ok()) {
-            int k = instance.Concurrency();
-            for (auto& [qid, mk] : oracle_max) mk = std::max(mk, k);
-            oracle_max[s.query_id] = k;
-          }
+          (void)instance.Submit(s, op.tmpl);
           break;
         }
         case OpKind::kFail:
@@ -137,23 +112,11 @@ std::vector<std::string> RunScript(const Script& script, PsExecutorMode mode,
        << instance.completed_queries() << " busy=" << instance.busy_time()
        << " events=" << engine.events_processed();
   trace.push_back(tail.str());
-  if (!oracle_max.empty()) {
-    trace.push_back("unfinished=" + std::to_string(oracle_max.size()));
-  }
   return trace;
 }
 
 void ExpectModesEquivalent(const Script& script) {
-  std::vector<std::string> oracle_virtual, oracle_dense;
-  std::vector<std::string> trace_virtual =
-      RunScript(script, PsExecutorMode::kVirtualTime, &oracle_virtual);
-  std::vector<std::string> trace_dense =
-      RunScript(script, PsExecutorMode::kDenseReference, &oracle_dense);
-  EXPECT_EQ(trace_virtual, trace_dense);
-  EXPECT_TRUE(oracle_virtual.empty())
-      << "virtual-time oracle mismatch: " << oracle_virtual.front();
-  EXPECT_TRUE(oracle_dense.empty())
-      << "dense oracle mismatch: " << oracle_dense.front();
+  EXPECT_EQ(RunScript<MppdbInstance>(script), RunScript<DenseExecutor>(script));
 }
 
 Script RandomScript(Rng* rng) {
@@ -287,72 +250,244 @@ TEST(VirtualTimeEquivalenceTest, EpsilonResidueFromNonDyadicShares) {
   ExpectModesEquivalent(script);
 }
 
+// Staggered arrivals and departures with hand-computed high-water marks.
+template <typename Executor>
+void ExpectHandComputedMaxConcurrency() {
+  SimEngine engine;
+  Executor instance(0, 4, &engine);
+  instance.AddTenant(1, 100.0);
+  std::vector<QueryCompletion> done;
+  instance.set_completion_callback(
+      [&](const QueryCompletion& c) { done.push_back(c); });
+
+  auto submit = [&](QueryId qid, double work) {
+    QuerySubmission s;
+    s.query_id = qid;
+    s.tenant_id = 1;
+    QueryTemplate t = MakeTemplate(1, work);
+    ASSERT_TRUE(instance.Submit(s, t).ok());
+  };
+  // q1 alone (k=1), then q2 joins (k=2), q3 joins (k=3); q3 is short and
+  // leaves; then q4 joins after the peak (k back to 3).
+  engine.ScheduleAt(0, [&](SimTime) { submit(1, 4.0); });          // 100s
+  engine.ScheduleAt(10'000, [&](SimTime) { submit(2, 4.0); });
+  engine.ScheduleAt(20'000, [&](SimTime) { submit(3, 0.1); });     // 2.5s
+  engine.ScheduleAt(40'000, [&](SimTime) { submit(4, 0.1); });
+  engine.Run();
+
+  ASSERT_EQ(done.size(), 4u);
+  std::unordered_map<QueryId, int> maxk;
+  for (const auto& c : done) maxk[c.query_id] = c.max_concurrency;
+  EXPECT_EQ(maxk[1], 3);  // saw the k=3 peak while q3 was in flight
+  EXPECT_EQ(maxk[2], 3);
+  EXPECT_EQ(maxk[3], 3);
+  EXPECT_EQ(maxk[4], 3);  // admitted into k=3 (q1, q2 still running)
+}
+
 TEST(VirtualTimeEquivalenceTest, MaxConcurrencyMatchesWritebackSemantics) {
-  // Satellite check for the removed O(k) write-back: staggered arrivals and
-  // departures with hand-computed high-water marks, asserted in both modes.
-  for (PsExecutorMode mode :
-       {PsExecutorMode::kVirtualTime, PsExecutorMode::kDenseReference}) {
-    SCOPED_TRACE(PsExecutorModeToString(mode));
-    SimEngine engine;
-    MppdbInstance instance(0, 4, &engine, InstanceState::kOnline, mode);
-    instance.AddTenant(1, 100.0);
-    std::vector<QueryCompletion> done;
-    instance.set_completion_callback(
-        [&](const QueryCompletion& c) { done.push_back(c); });
-
-    auto submit = [&](QueryId qid, double work) {
-      QuerySubmission s;
-      s.query_id = qid;
-      s.tenant_id = 1;
-      QueryTemplate t = MakeTemplate(1, work);
-      ASSERT_TRUE(instance.Submit(s, t).ok());
-    };
-    // q1 alone (k=1), then q2 joins (k=2), q3 joins (k=3); q3 is short and
-    // leaves; then q4 joins after the peak (k back to 3).
-    engine.ScheduleAt(0, [&](SimTime) { submit(1, 4.0); });          // 100s
-    engine.ScheduleAt(10'000, [&](SimTime) { submit(2, 4.0); });
-    engine.ScheduleAt(20'000, [&](SimTime) { submit(3, 0.1); });     // 2.5s
-    engine.ScheduleAt(40'000, [&](SimTime) { submit(4, 0.1); });
-    engine.Run();
-
-    ASSERT_EQ(done.size(), 4u);
-    std::unordered_map<QueryId, int> maxk;
-    for (const auto& c : done) maxk[c.query_id] = c.max_concurrency;
-    EXPECT_EQ(maxk[1], 3);  // saw the k=3 peak while q3 was in flight
-    EXPECT_EQ(maxk[2], 3);
-    EXPECT_EQ(maxk[3], 3);
-    EXPECT_EQ(maxk[4], 3);  // admitted into k=3 (q1, q2 still running)
+  // The heap's monotone peak deque against the oracle's O(k) write-back.
+  {
+    SCOPED_TRACE("virtual-time heap");
+    ExpectHandComputedMaxConcurrency<MppdbInstance>();
+  }
+  {
+    SCOPED_TRACE("dense oracle");
+    ExpectHandComputedMaxConcurrency<DenseExecutor>();
   }
 }
 
+// High concurrency on one instance; returns records touched per event.
+template <typename Executor>
+double TouchedPerEventAtK128() {
+  SimEngine engine;
+  SimCostGauge gauge;
+  engine.set_cost_gauge(&gauge);
+  Executor instance(0, 4, &engine);
+  instance.AddTenant(1, 100.0);
+  for (int i = 0; i < 128; ++i) {
+    engine.ScheduleAt(10 * i, [&, i](SimTime) {
+      QuerySubmission s;
+      s.query_id = i;
+      s.tenant_id = 1;
+      QueryTemplate t = MakeTemplate(1, 0.5 + 0.01 * (i % 7));
+      ASSERT_TRUE(instance.Submit(s, t).ok());
+    });
+  }
+  engine.Run();
+  EXPECT_EQ(instance.completed_queries(), 128u);
+  EXPECT_EQ(gauge.peak_running_set(), 128u);
+  return gauge.TouchedPerEvent();
+}
+
 TEST(VirtualTimeEquivalenceTest, CostGaugeSeparatesModes) {
-  // High concurrency on one instance: the dense sweep touches O(k) records
-  // per event, the heap O(log k). The gauge must reflect that gap — it is
-  // the measurement the fig1_1 bench gates on.
-  auto run = [](PsExecutorMode mode) {
-    SimEngine engine;
-    SimCostGauge gauge;
-    engine.set_cost_gauge(&gauge);
-    MppdbInstance instance(0, 4, &engine, InstanceState::kOnline, mode);
-    instance.AddTenant(1, 100.0);
-    for (int i = 0; i < 128; ++i) {
-      engine.ScheduleAt(10 * i, [&, i](SimTime) {
-        QuerySubmission s;
-        s.query_id = i;
-        s.tenant_id = 1;
-        QueryTemplate t = MakeTemplate(1, 0.5 + 0.01 * (i % 7));
-        ASSERT_TRUE(instance.Submit(s, t).ok());
-      });
+  // The dense sweep touches O(k) records per event, the heap O(log k); the
+  // gauge must show at least a 4x gap at k = 128.
+  double dense = TouchedPerEventAtK128<DenseExecutor>();
+  double virt = TouchedPerEventAtK128<MppdbInstance>();
+  EXPECT_GT(dense, 4.0 * virt) << "dense=" << dense << " virtual=" << virt;
+}
+
+// --- Fig 1.1 scenarios --------------------------------------------------
+
+void AppendCompletion(std::string* stream, const QueryCompletion& c) {
+  *stream += "t=" + std::to_string(c.finish_time) +
+             ",q=" + std::to_string(c.query_id) +
+             ",k=" + std::to_string(c.max_concurrency) + ";";
+}
+
+// One Fig 1.1 panel cell: `tenants` copies of `tmpl` on a `nodes`-node
+// instance, each tenant holding 100 GB, submitted one after another or all
+// at once.
+template <typename Executor>
+void RunPanelCell(const QueryTemplate& tmpl, int nodes, int tenants,
+                  bool concurrent, std::string* stream) {
+  SimEngine engine;
+  Executor instance(0, nodes, &engine);
+  for (TenantId t = 0; t < tenants; ++t) instance.AddTenant(t, 100);
+  instance.set_completion_callback(
+      [&](const QueryCompletion& c) { AppendCompletion(stream, c); });
+  for (TenantId t = 0; t < tenants; ++t) {
+    QuerySubmission s;
+    s.query_id = t;
+    s.tenant_id = t;
+    EXPECT_TRUE(instance.Submit(s, tmpl).ok());
+    if (!concurrent) engine.Run();  // finish before the next tenant submits
+  }
+  engine.Run();
+}
+
+// Every panel (a)/(c) cell for Q1 and Q19, then the panel (b) points.
+template <typename Executor>
+std::string PanelGridStream(const QueryCatalog& catalog) {
+  std::string stream;
+  for (const char* name : {"TPCH-Q1", "TPCH-Q19"}) {
+    const QueryTemplate& tmpl = catalog.Get(*catalog.FindByName(name));
+    stream += std::string("panel=") + name + ";";
+    for (int nodes : {1, 2, 4, 8, 16, 32}) {
+      for (int tenants : {1, 2, 4}) {
+        for (bool concurrent : {false, true}) {
+          RunPanelCell<Executor>(tmpl, nodes, tenants, concurrent, &stream);
+        }
+      }
     }
-    engine.Run();
-    EXPECT_EQ(instance.completed_queries(), 128u);
-    EXPECT_EQ(gauge.peak_running_set(), 128u);
-    return gauge.TouchedPerEvent();
+  }
+  const QueryTemplate& q1 = catalog.Get(*catalog.FindByName("TPCH-Q1"));
+  stream += "panel=b;";
+  RunPanelCell<Executor>(q1, 2, 1, false, &stream);
+  RunPanelCell<Executor>(q1, 6, 1, false, &stream);
+  RunPanelCell<Executor>(q1, 6, 2, true, &stream);
+  return stream;
+}
+
+// High-concurrency churn: `resident` long queries pin the concurrency while
+// 96 short queries arrive and complete under processor sharing, with two
+// node failures and one repair mid-churn.
+template <typename Executor>
+std::string ChurnStream(int resident) {
+  const int churners = 96;
+  SimEngine engine;
+  Executor instance(0, 8, &engine);
+  for (TenantId t = 0; t < 4; ++t) instance.AddTenant(t, 100);
+  std::string stream;
+  instance.set_completion_callback(
+      [&](const QueryCompletion& c) { AppendCompletion(&stream, c); });
+
+  QueryId next_id = 0;
+  auto submit = [&](TenantId tenant, const QueryTemplate& tmpl) {
+    QuerySubmission s;
+    s.query_id = next_id++;
+    s.tenant_id = tenant;
+    s.template_id = tmpl.id;
+    EXPECT_TRUE(instance.Submit(s, tmpl).ok());
   };
-  double dense = run(PsExecutorMode::kDenseReference);
-  double virt = run(PsExecutorMode::kVirtualTime);
-  EXPECT_GT(dense, 4.0 * virt)
-      << "dense=" << dense << " virtual=" << virt;
+  // 100 GB on 8 nodes at 8.0 s/GB -> 100 s dedicated each.
+  const QueryTemplate long_tmpl = MakeTemplate(1, 8.0);
+  for (int i = 0; i < resident; ++i) {
+    engine.ScheduleAt(10 * i, [&, i](SimTime) { submit(i % 4, long_tmpl); });
+  }
+  const SimTime churn_start = 10 * resident + kSecond;
+  for (int i = 0; i < churners; ++i) {
+    const QueryTemplate tmpl = MakeTemplate(2 + i, 0.004 + 0.0007 * (i % 5));
+    engine.ScheduleAt(churn_start + 4 * kSecond * i,
+                      [&, tmpl](SimTime) { submit(0, tmpl); });
+  }
+  const SimTime mid = churn_start + 4 * kSecond * (churners / 3);
+  engine.ScheduleAt(mid, [&](SimTime) { (void)instance.InjectNodeFailure(); });
+  engine.ScheduleAt(mid + 30 * kSecond,
+                    [&](SimTime) { (void)instance.InjectNodeFailure(); });
+  engine.ScheduleAt(mid + 90 * kSecond,
+                    [&](SimTime) { (void)instance.RepairNode(); });
+  engine.Run();
+  stream += "completed=" + std::to_string(instance.completed_queries()) +
+            ",busy=" + std::to_string(instance.busy_time()) + ";";
+  return stream;
+}
+
+TEST(VirtualTimeEquivalenceTest, Fig11PanelGridStreamIsPinned) {
+  QueryCatalog catalog = QueryCatalog::Default();
+  const std::string heap = PanelGridStream<MppdbInstance>(catalog);
+  EXPECT_EQ(heap, PanelGridStream<DenseExecutor>(catalog));
+  EXPECT_EQ(Fnv1a64(heap), 0xde91183817eb73e4ULL);
+}
+
+TEST(VirtualTimeEquivalenceTest, ChurnWithFailureStreamIsPinned) {
+  const std::string heap = ChurnStream<MppdbInstance>(256);
+  EXPECT_EQ(heap, ChurnStream<DenseExecutor>(256));
+  EXPECT_EQ(Fnv1a64(heap), 0x616092873dace162ULL);
+}
+
+TEST(VirtualTimeEquivalenceTest, ServiceReplayStreamIsPinned) {
+  // A fig7_4-style workload: 12 generated tenants over 3 days, advised into
+  // an R = 3 plan and replayed through the full ThriftyService (cluster and
+  // SLA shadow instances) with two node failures mid-replay.
+  const QueryCatalog catalog = QueryCatalog::Default();
+  const uint64_t seed = 1101;
+  SessionLibrary library(&catalog, {2, 4}, /*sessions_per_class=*/5,
+                         Rng(seed));
+  PopulationOptions pop_options;
+  pop_options.node_sizes = {2, 4};
+  Rng pop_rng = Rng(seed).Fork(1);
+  auto tenants = GenerateTenantPopulation(12, pop_options, &pop_rng);
+  ASSERT_TRUE(tenants.ok());
+  LogComposerOptions composer_options;
+  composer_options.horizon_days = 3;
+  LogComposer composer(&library, composer_options);
+  Rng compose_rng = Rng(seed).Fork(2);
+  auto logs = composer.Compose(&*tenants, &compose_rng);
+  ASSERT_TRUE(logs.ok());
+  AdvisorOptions advisor_options;
+  advisor_options.replication_factor = 3;
+  advisor_options.sla_fraction = 0.99;
+  advisor_options.epoch_size = 30 * kSecond;
+  auto advised = DeploymentAdvisor(advisor_options)
+                     .Advise(*tenants, *logs, 0, composer.horizon_end());
+  ASSERT_TRUE(advised.ok());
+
+  SimEngine engine;
+  Cluster cluster(static_cast<int>(advised->plan.TotalNodesUsed()), &engine);
+  ServiceOptions options;
+  options.replication_factor = 3;
+  options.sla_fraction = 0.99;
+  options.elastic_scaling = false;
+  ThriftyService service(&engine, &cluster, &catalog, options);
+  ASSERT_TRUE(service.Deploy(advised->plan).ok());
+  std::string stream;
+  service.set_completion_hook([&](const QueryOutcome& outcome) {
+    stream += "t=" + std::to_string(outcome.real.finish_time) +
+              ",q=" + std::to_string(outcome.real.query_id) +
+              ",i=" + std::to_string(outcome.real.instance_id) +
+              ",lat=" + std::to_string(outcome.real.MeasuredLatency()) +
+              ",iso=" + std::to_string(outcome.isolated_latency) + ";";
+  });
+  ASSERT_TRUE(service.ScheduleLogReplay(*logs).ok());
+  engine.ScheduleAt(6 * kHour,
+                    [&](SimTime) { (void)cluster.InjectNodeFailure(0); });
+  engine.ScheduleAt(30 * kHour,
+                    [&](SimTime) { (void)cluster.InjectNodeFailure(1); });
+  engine.Run();
+  stream += "completed=" + std::to_string(service.metrics().completed) +
+            ",sla=" + FormatDouble(service.metrics().SlaAttainment(), 6) + ";";
+  EXPECT_EQ(Fnv1a64(stream), 0x8ad365c34ac34d6dULL);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-#include "placement/minlp.h"
+#include "oracles/minlp.h"
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,6 @@
 // Regression lock for the streamed epochization rollout: the grouping
 // solvers must produce *identical* solutions whether their activity vectors
-// were built through the legacy dense bitmap (IntervalsToBitmap +
+// were built through the dense bitmap test oracle (IntervalsToBitmap +
 // FromBitmap) or streamed straight to sparse words (EpochizeIntervals).
 // This is the same guarantee bench_solver_scaling's committed fingerprints
 // rest on — the streamed path must be a pure representation change, never a
@@ -14,8 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "core/thrifty.h"
+#include "oracles/dense_epochizer.h"
 
 namespace thrifty {
 namespace {
@@ -92,12 +94,7 @@ uint64_t SolutionFingerprint(const GroupingSolution& solution) {
     }
     text += "];";
   }
-  uint64_t hash = 1469598103934665603ULL;
-  for (unsigned char c : text) {
-    hash ^= c;
-    hash *= 1099511628211ULL;
-  }
-  return hash;
+  return Fnv1a64(text);
 }
 
 void ExpectSolutionsIdentical(const GroupingSolution& a,

@@ -234,7 +234,7 @@ TEST(TwoStepWarmStartTest, SeededSolveIsFeasibleAndKeepsFeasibleSeeds) {
   ASSERT_TRUE(VerifySolution(*problem, *cold).ok());
 
   // Seeding a solve with its own cold solution: every seed group is
-  // feasible by construction, so all are kept, none dissolved, and the
+  // feasible by construction, so all are kept, none repaired, and the
   // result (same groups, regrown with nothing left to add) stays valid.
   TwoStepOptions options;
   options.warm_start = &*cold;
@@ -242,44 +242,9 @@ TEST(TwoStepWarmStartTest, SeededSolveIsFeasibleAndKeepsFeasibleSeeds) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(VerifySolution(*problem, *warm).ok());
   EXPECT_EQ(warm->warm_groups_kept, cold->groups.size());
-  EXPECT_EQ(warm->warm_groups_dissolved, 0u);
+  EXPECT_EQ(warm->warm_groups_repaired, 0u);
   EXPECT_EQ(warm->groups.size(), cold->groups.size());
   EXPECT_EQ(warm->NodesUsed(3), cold->NodesUsed(3));
-}
-
-TEST(TwoStepWarmStartTest, InfeasibleSeedGroupIsDissolvedWithRepairOff) {
-  auto [tenants, activities] = WarmStartInstance(1733);
-  auto problem = MakePackingProblem(tenants, activities, 3, 0.999);
-  ASSERT_TRUE(problem.ok());
-
-  // One giant seed group per size class: cramming every tenant together
-  // violates the SLA (the cold solve needs several groups). In the legacy
-  // repair-disabled mode the seeds must dissolve whole back into
-  // singletons and the result must still verify.
-  GroupingSolution bad_seed;
-  std::map<int, TenantGroupResult> by_size;
-  for (const auto& t : tenants) {
-    by_size[t.requested_nodes].tenant_ids.push_back(t.id);
-  }
-  for (auto& [nodes, group] : by_size) bad_seed.groups.push_back(group);
-  auto cold = SolveTwoStep(*problem);
-  ASSERT_TRUE(cold.ok());
-  ASSERT_GT(cold->groups.size(), bad_seed.groups.size());
-
-  TwoStepOptions options;
-  options.warm_start = &bad_seed;
-  options.warm_repair = false;
-  auto warm = SolveTwoStep(*problem, options);
-  ASSERT_TRUE(warm.ok());
-  EXPECT_TRUE(VerifySolution(*problem, *warm).ok());
-  EXPECT_EQ(warm->warm_groups_kept, 0u);
-  EXPECT_EQ(warm->warm_groups_dissolved, bad_seed.groups.size());
-  EXPECT_EQ(warm->warm_groups_repaired, 0u);
-  EXPECT_EQ(warm->warm_members_evicted, 0u);
-  // Dissolving means no group of the giant seed shape survives.
-  for (const auto& group : warm->groups) {
-    EXPECT_LT(group.tenant_ids.size(), tenants.size() / 2);
-  }
 }
 
 TEST(TwoStepWarmStartTest, InfeasibleSeedGroupIsRepairedByEviction) {
@@ -294,26 +259,26 @@ TEST(TwoStepWarmStartTest, InfeasibleSeedGroupIsRepairedByEviction) {
   }
   for (auto& [nodes, group] : by_size) bad_seed.groups.push_back(group);
 
-  // Default mode: the infeasible seeds are repaired — members are evicted
-  // until the fuzzy capacity holds, the group survives, and nothing is
-  // dissolved whole.
+  // One giant seed group per size class: cramming every tenant together
+  // violates the SLA (the cold solve needs several groups). The infeasible
+  // seeds are repaired — members are evicted until the fuzzy capacity
+  // holds, and the group survives.
   TwoStepOptions options;
   options.warm_start = &bad_seed;
   auto warm = SolveTwoStep(*problem, options);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(VerifySolution(*problem, *warm).ok());
-  EXPECT_EQ(warm->warm_groups_dissolved, 0u);
+  EXPECT_EQ(warm->warm_groups_kept, 0u);
   EXPECT_EQ(warm->warm_groups_repaired, bad_seed.groups.size());
   EXPECT_GT(warm->warm_members_evicted, 0u);
   // Every evictee re-enters the pool, so the solution still covers all
-  // tenants (VerifySolution checks) with fewer groups than full dissolve
-  // would leave only if regrouping merged them — either way each repaired
-  // group's TTP meets P, which VerifySolution also asserts.
+  // tenants, and each repaired group's TTP meets P — VerifySolution
+  // asserts both.
 }
 
 TEST(TwoStepWarmStartTest, SeedAcrossSlaTighteningStaysWithinOnePoint) {
   // The fig7_5 pattern: solve at a loose P, seed the tight-P solve with
-  // it. Feasible-at-tight-P groups are kept, the rest dissolve, and the
+  // it. Feasible-at-tight-P groups are kept, the rest repaired, and the
   // warm effectiveness stays within one percentage point of cold.
   auto [tenants, activities] = WarmStartInstance(4211);
   auto loose_problem = MakePackingProblem(tenants, activities, 3, 0.95);
@@ -328,11 +293,9 @@ TEST(TwoStepWarmStartTest, SeedAcrossSlaTighteningStaysWithinOnePoint) {
   auto warm = SolveTwoStep(*tight_problem, options);
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(VerifySolution(*tight_problem, *warm).ok());
-  // Every seed group is either kept as-is or repaired; none dissolve in
-  // the default repair mode.
+  // Every seed group is either kept as-is or repaired.
   EXPECT_EQ(warm->warm_groups_kept + warm->warm_groups_repaired,
             loose->groups.size());
-  EXPECT_EQ(warm->warm_groups_dissolved, 0u);
 
   auto cold = SolveTwoStep(*tight_problem);
   ASSERT_TRUE(cold.ok());

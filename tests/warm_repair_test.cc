@@ -1,10 +1,10 @@
 // Randomized property harness for warm-start group repair: re-solving a
 // problem from a seed grouping that the (tightened or reshaped) instance
 // no longer admits must evict members rather than dissolve groups, keep
-// every output group SLA-feasible, account kept/repaired/dissolved groups
-// exactly, and produce byte-identical groupings at solver_jobs 1, 2, and
-// 4. Every randomized case derives its generator from an id-keyed Rng
-// fork, so a failure names the case id and replays deterministically.
+// every output group SLA-feasible, account kept/repaired groups exactly,
+// and produce byte-identical groupings at solver_jobs 1, 2, and 4. Every
+// randomized case derives its generator from an id-keyed Rng fork, so a
+// failure names the case id and replays deterministically.
 
 #include "placement/two_step.h"
 
@@ -47,12 +47,10 @@ Instance MakeInstance(uint64_t case_id, size_t num_tenants) {
 
 /// Solves `problem` warm-started from `seed` at the given solver_jobs.
 GroupingSolution SolveWarm(const PackingProblem& problem,
-                           const GroupingSolution& seed, int solver_jobs,
-                           bool warm_repair = true) {
+                           const GroupingSolution& seed, int solver_jobs) {
   TwoStepOptions options;
   options.warm_start = &seed;
   options.solver_jobs = solver_jobs;
-  options.warm_repair = warm_repair;
   auto solution = SolveTwoStep(problem, options);
   EXPECT_TRUE(solution.ok());
   return *solution;
@@ -95,7 +93,6 @@ TEST(WarmRepairPropertyTest, RepairedSolvesAreFeasibleAndDeterministic) {
     // (never dissolved), and evictions happen only in repaired groups.
     EXPECT_EQ(repaired.warm_groups_kept + repaired.warm_groups_repaired,
               seed->groups.size());
-    EXPECT_EQ(repaired.warm_groups_dissolved, 0u);
     if (repaired.warm_groups_repaired > 0) {
       EXPECT_GT(repaired.warm_members_evicted, 0u);
     } else {
@@ -107,17 +104,6 @@ TEST(WarmRepairPropertyTest, RepairedSolvesAreFeasibleAndDeterministic) {
               Memberships(repaired));
     EXPECT_EQ(Memberships(SolveWarm(*tight, *seed, 4)),
               Memberships(repaired));
-
-    // Legacy mode: with repair disabled the same seeds dissolve whole —
-    // exactly the groups repair would have repaired — and nothing is
-    // evicted.
-    GroupingSolution dissolved = SolveWarm(*tight, *seed, 1, false);
-    EXPECT_TRUE(VerifySolution(*tight, dissolved).ok());
-    EXPECT_EQ(dissolved.warm_groups_dissolved,
-              repaired.warm_groups_repaired);
-    EXPECT_EQ(dissolved.warm_groups_kept, repaired.warm_groups_kept);
-    EXPECT_EQ(dissolved.warm_groups_repaired, 0u);
-    EXPECT_EQ(dissolved.warm_members_evicted, 0u);
     total_repaired += repaired.warm_groups_repaired;
   }
   // The SLA tightening must give repair real work somewhere in the case
