@@ -29,9 +29,9 @@
 // there (sub-second timings are too noisy).
 
 #include <algorithm>
-#include <cstdlib>
+#include <chrono>
+#include <cmath>
 #include <iostream>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -187,24 +187,6 @@ std::string PlanStream(const DeploymentPlan& plan) {
   return CanonicalMembershipStream(plan);
 }
 
-/// With CHURN_DEBUG set in the environment, dumps the plan's group-size
-/// distribution per size class to stderr (fragmentation shows up as a
-/// tail of tiny groups).
-void MaybeDumpPlanShape(const char* label, const DeploymentPlan& plan) {
-  if (std::getenv("CHURN_DEBUG") == nullptr) return;
-  std::cerr << label << " used " << plan.TotalNodesUsed() << ":";
-  std::map<int, std::vector<size_t>> by_class;
-  for (const auto& group : plan.groups) {
-    by_class[group.LargestTenantNodes()].push_back(group.tenants.size());
-  }
-  for (auto& [nodes, sizes] : by_class) {
-    std::cerr << " n" << nodes << "[";
-    for (size_t s : sizes) std::cerr << s << ",";
-    std::cerr << "]";
-  }
-  std::cerr << "\n";
-}
-
 bool CoversExactly(const DeploymentPlan& plan,
                    const std::vector<TenantSpec>& specs) {
   std::unordered_map<TenantId, int> seen;
@@ -272,8 +254,7 @@ SoakResult RunDelta(const Workload& workload, const SoakScenario& scenario,
     auto start = std::chrono::steady_clock::now();
     auto output =
         planner.Plan(input, state.history, 0, workload.horizon_end);
-    std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
+    const double seconds = bench::Seconds(start);
     if (!output.ok()) throw std::runtime_error(output.status().ToString());
     plan = std::move(output->plan);
 
@@ -287,9 +268,8 @@ SoakResult RunDelta(const Workload& workload, const SoakScenario& scenario,
     stats.evicted = output->grouping.warm_members_evicted;
     stats.missing = output->grouping.warm_members_missing;
     stats.effectiveness = plan.ConsolidationEffectiveness();
-    stats.seconds = elapsed.count();
+    stats.seconds = seconds;
     stats.covers = CoversExactly(plan, state.RegisteredSpecs(workload));
-    MaybeDumpPlanShape("DELTA", plan);
     result.total_seconds += stats.seconds;
     result.cycles.push_back(stats);
     stream += PlanStream(plan);
@@ -316,8 +296,7 @@ SoakResult RunCold(const Workload& workload, const SoakScenario& scenario,
     auto start = std::chrono::steady_clock::now();
     auto advised = advisor.Advise(specs, state.history, 0,
                                   workload.horizon_end);
-    std::chrono::duration<double> elapsed =
-        std::chrono::steady_clock::now() - start;
+    const double seconds = bench::Seconds(start);
     if (!advised.ok()) throw std::runtime_error(advised.status().ToString());
     DeploymentPlan plan = std::move(advised->plan);
     GroupId next_id = static_cast<GroupId>(plan.groups.size());
@@ -327,9 +306,8 @@ SoakResult RunCold(const Workload& workload, const SoakScenario& scenario,
     CycleStats stats;
     stats.registered = state.registered.size();
     stats.effectiveness = plan.ConsolidationEffectiveness();
-    stats.seconds = elapsed.count();
+    stats.seconds = seconds;
     stats.covers = CoversExactly(plan, specs);
-    MaybeDumpPlanShape("COLD ", plan);
     result.total_seconds += stats.seconds;
     result.cycles.push_back(stats);
   }
@@ -471,26 +449,20 @@ int main(int argc, char** argv) {
                               : " (MISMATCH across solver-jobs!)")
             << "\n";
 
-  bool ok = deterministic && covers && effectiveness_ok && speed_ok;
-  if (!ok) {
-    std::cout << "\nFAIL:";
-    if (!deterministic) std::cout << " fingerprint-mismatch";
-    if (!covers) std::cout << " tenant-coverage";
-    if (!effectiveness_ok) std::cout << " effectiveness-drift>1pp";
-    if (!speed_ok) std::cout << " speedup<10x";
-    std::cout << "\n";
-  }
-
   report.SetResultsTable(table);
   report.AddText("delta_plan_fnv1a", fp);
   report.AddMetric("delta_solve_seconds_total", delta.total_seconds);
   report.AddMetric("cold_solve_seconds_total", cold.total_seconds);
   report.AddMetric("delta_speedup_x", speedup);
-  report.AddMetric("determinism_check_passed", deterministic ? 1 : 0);
-  report.AddMetric("coverage_check_passed", covers ? 1 : 0);
-  report.AddMetric("effectiveness_check_passed", effectiveness_ok ? 1 : 0);
-  report.AddMetric("speedup_check_passed", speed_ok ? 1 : 0);
+  std::cout << "\n";
+  report.Gate("determinism_check_passed", deterministic,
+              "delta plan identical at solver-jobs 1/2/4");
+  report.Gate("coverage_check_passed", covers,
+              "every registered tenant placed exactly once");
+  report.Gate("effectiveness_check_passed", effectiveness_ok,
+              "delta effectiveness within 1pp of cold every cycle");
+  report.Gate("speedup_check_passed", speed_ok,
+              "delta speedup >= 10x over cold (full scale only)");
   report.AddMetric("cycles", static_cast<double>(scenario.cycles));
-  report.Write();
-  return ok ? 0 : 1;
+  return report.Finish();
 }

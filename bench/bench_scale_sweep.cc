@@ -47,12 +47,6 @@ std::string_view Bytes(const void* data, size_t len) {
   return std::string_view(static_cast<const char*>(data), len);
 }
 
-double Seconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,7 +56,7 @@ int main(int argc, char** argv) {
 
   std::vector<int> points = {10000, 50000, 100000, 1000000};
   int flat_max_tenants = 10000;
-  std::string expect_plan;
+  FingerprintPins pins("--expect-plan", {"first-point plan"});
   BenchOptions options = ParseBenchArgs(
       argc, argv, bench_name,
       {BenchFlag{"--smoke", "  points 10k + 50k (CI tier-1)",
@@ -86,12 +80,8 @@ int main(int argc, char** argv) {
        IntFlag("--flat-max-tenants", &flat_max_tenants, 0,
                "=N  largest point with a flat baseline (default 10000; 0 "
                "disables it)"),
-       BenchFlag{"--expect-plan",
-                 "=HEX  pinned first-point plan fingerprint (16 hex digits)",
-                 [&expect_plan](const std::string& value) {
-                   expect_plan = value;
-                   return IsHex64(value);
-                 }}});
+       pins.Flag("=HEX  pinned first-point plan fingerprint (16 hex "
+                 "digits)")});
   BenchReport report(bench_name, options);
 
   std::string points_text;
@@ -107,10 +97,9 @@ int main(int argc, char** argv) {
   TablePrinter table({"tenants", "solver", "config", "groups", "nodes",
                       "requested", "effectiveness", "fingerprint"});
 
-  bool all_ok = true;
   double last_flat_seconds = 0;
   int last_flat_tenants = 0;
-  std::string first_plan_fp;
+  uint64_t first_plan_fp = 0;
 
   for (size_t point = 0; point < points.size(); ++point) {
     const int num_tenants = points[point];
@@ -181,18 +170,6 @@ int main(int argc, char** argv) {
     table.AddRow({std::to_string(num_tenants), "workload", "-", "-", "-",
                   std::to_string(requested), "-", Hex64(workload_fp)});
 
-    auto PlanFp = [](const GroupingSolution& solution) {
-      uint64_t fp = kFnv1a64Offset;
-      for (const auto& group : solution.groups) {
-        std::ostringstream os;
-        os << group.max_nodes << "[";
-        for (TenantId id : group.tenant_ids) os << id << ",";
-        os << "];";
-        fp = Fnv1a64(os.str(), fp);
-      }
-      return fp;
-    };
-
     // --- Hierarchical solve (default partition, CLI-driven workers) ---
     HierarchicalOptions hier_options;
     hier_options.shard_jobs = options.jobs;
@@ -209,13 +186,13 @@ int main(int argc, char** argv) {
     if (!verified.ok()) {
       std::cerr << "hierarchical plan failed verification: " << verified
                 << "\n";
-      all_ok = false;
+      return 1;
     }
     const double hier_eff =
         hier->ConsolidationEffectiveness(config.replication_factor,
                                          requested);
-    const uint64_t hier_fp = PlanFp(*hier);
-    if (point == 0) first_plan_fp = Hex64(hier_fp);
+    const uint64_t hier_fp = GroupingFingerprint(*hier);
+    if (point == 0) first_plan_fp = hier_fp;
     table.AddRow({std::to_string(num_tenants), "hierarchical", "default",
                   std::to_string(hier->groups.size()),
                   std::to_string(
@@ -254,7 +231,11 @@ int main(int argc, char** argv) {
         std::cerr << "flat solve failed: " << flat.status() << "\n";
         return 1;
       }
-      if (!VerifySolution(*problem, *flat).ok()) all_ok = false;
+      verified = VerifySolution(*problem, *flat);
+      if (!verified.ok()) {
+        std::cerr << "flat plan failed verification: " << verified << "\n";
+        return 1;
+      }
       const double flat_eff =
           flat->ConsolidationEffectiveness(config.replication_factor,
                                            requested);
@@ -263,22 +244,21 @@ int main(int argc, char** argv) {
                     std::to_string(
                         flat->NodesUsed(config.replication_factor)),
                     std::to_string(requested), FormatDouble(flat_eff, 4),
-                    Hex64(PlanFp(*flat))});
+                    Hex64(GroupingFingerprint(*flat))});
       report.AddMetric("flat_seconds" + suffix, flat_seconds);
       last_flat_seconds = flat_seconds;
       last_flat_tenants = num_tenants;
 
       const double gap_pp = (flat_eff - hier_eff) * 100.0;
       report.AddMetric("effectiveness_gap_pp" + suffix, gap_pp);
-      const bool within = gap_pp <= 2.0;
-      report.AddMetric("effectiveness_within_2pp" + suffix, within ? 1 : 0);
       std::cout << "n=" << num_tenants << " flat: eff "
                 << FormatDouble(flat_eff, 4) << " in "
                 << FormatDouble(flat_seconds, 1) << "s; gap "
-                << FormatDouble(gap_pp, 2) << "pp ("
-                << (within ? "PASS" : "FAIL") << " <= 2pp), speedup "
+                << FormatDouble(gap_pp, 2) << "pp, speedup "
                 << FormatDouble(flat_seconds / hier_seconds, 1) << "x\n";
-      if (!within) all_ok = false;
+      report.Gate("effectiveness_within_2pp" + suffix, gap_pp <= 2.0,
+                  "n=" + std::to_string(num_tenants) +
+                      " hierarchical effectiveness within 2pp of flat");
     } else if (last_flat_tenants > 0) {
       // The flat solver is ~quadratic in the dominant size class; report
       // what this point would have cost it.
@@ -302,7 +282,7 @@ int main(int argc, char** argv) {
             std::cerr << "cross solve failed: " << solution.status() << "\n";
             return 1;
           }
-          const uint64_t fp = PlanFp(*solution);
+          const uint64_t fp = GroupingFingerprint(*solution);
           const std::string config_text =
               "ns=" + std::to_string(num_shards) + ",j=" +
               std::to_string(jobs);
@@ -319,21 +299,12 @@ int main(int argc, char** argv) {
           }
         }
       }
-      std::cout << "plan fingerprints identical across num_shards x jobs: "
-                << (identical ? "PASS" : "FAIL") << "\n";
-      report.AddMetric("fingerprints_identical_across_parallelism",
-                       identical ? 1 : 0);
-      if (!identical) all_ok = false;
+      report.Gate("fingerprints_identical_across_parallelism", identical,
+                  "plan fingerprints identical across num_shards x jobs");
     }
   }
 
-  if (!expect_plan.empty()) {
-    const bool match = expect_plan == first_plan_fp;
-    std::cout << "first-point plan fingerprint matches --expect-plan: "
-              << (match ? "PASS" : "FAIL") << " (" << first_plan_fp << ")\n";
-    report.AddMetric("expected_plan_fingerprint_match", match ? 1 : 0);
-    if (!match) all_ok = false;
-  }
+  report.GatePins("expected_plan_fingerprint_match", pins, {first_plan_fp});
 
   report.AddText(
       "note",
@@ -344,6 +315,5 @@ int main(int argc, char** argv) {
       "points <= --flat-max-tenants so the table is a pure function of the "
       "flags.");
   report.SetResultsTable(table);
-  report.Write();
-  return all_ok ? 0 : 1;
+  return report.Finish();
 }

@@ -249,24 +249,16 @@ int main(int argc, char** argv) {
   std::cout << "\nShared-off parity (all-distinct templates): "
             << (parity_ok ? "byte-identical" : "MISMATCH") << " (fp "
             << Hex64(parity_shared.fingerprint) << ")\n";
-  if (!parity_ok) {
-    std::cout << "FAIL: kSharedScan with singleton batches diverged from "
-                 "kVirtualTime\n";
-  }
-  if (!work_ok) {
-    std::cout << "FAIL: work ratio below 1.5x at some theta >= 1\n";
-  }
-  if (!sla_ok) {
-    std::cout << "FAIL: shared mode lost SLA pass rate somewhere\n";
-  }
+  report.Gate("parity_ok", parity_ok,
+              "kSharedScan with singleton batches byte-identical to "
+              "kVirtualTime");
+  report.Gate("", work_ok, "work ratio >= 1.5x at every theta >= 1");
+  report.Gate("", sla_ok, "shared SLA pass rate never below virtual time's");
 
   report.SetResultsTable(table);
   report.AddText("parity_fingerprint", Hex64(parity_shared.fingerprint));
-  report.AddMetric("parity_ok", parity_ok ? 1 : 0);
   report.AddMetric("peak_work_ratio", peak_work_ratio);
   report.AddMetric("resident_queries", residents);
-  const bool passed = parity_ok && work_ok && sla_ok;
-  report.AddMetric("gates_passed", passed ? 1 : 0);
-  report.Write();
-  return passed ? 0 : 1;
+  report.AddMetric("gates_passed", report.passed() ? 1 : 0);
+  return report.Finish();
 }

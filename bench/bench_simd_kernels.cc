@@ -33,13 +33,8 @@
 namespace {
 
 using thrifty::Rng;
+using thrifty::bench::Seconds;
 using thrifty::simd::Target;
-
-double Seconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
 
 /// One timed primitive: runs `body` (which must fold its result into the
 /// returned accumulator so the loop cannot be dead-code-eliminated) enough
@@ -293,19 +288,18 @@ int main(int argc, char** argv) {
   bool speedup_ok = !vector_dispatch || geomean >= 2.0;
 
   std::cout << "\ndispatch target: " << simd::TargetName() << "\n";
-  std::cout << "kernel parity vs scalar reference: "
-            << (parity_ok ? "PASS" : "FAIL") << "\n";
+  report.Gate("parity_ok", parity_ok, "kernel parity vs scalar reference");
   std::cout << "popcount-kernel geomean speedup at 1024 words: " << geomean
-            << (vector_dispatch
-                    ? (speedup_ok ? "x (>=2x: PASS)" : "x (>=2x: FAIL)")
-                    : "x (scalar dispatch: gate skipped)")
-            << "\n";
+            << (vector_dispatch ? "x\n"
+                                : "x (scalar dispatch: gate skipped)\n");
+  if (vector_dispatch) {
+    report.Gate("", speedup_ok, "popcount-kernel geomean speedup >= 2x");
+  }
 
   report.SetResultsTable(table);
   report.AddText("dispatch_target", simd::TargetName());
   report.AddText("cpu_avx2", cpu_avx2 ? "yes" : "no");
   report.AddText("cpu_neon", cpu_neon ? "yes" : "no");
-  report.AddMetric("parity_ok", parity_ok ? 1 : 0);
   report.AddMetric("popcount_geomean_speedup_1024", geomean);
   report.AddMetric("speedup_gate_live", vector_dispatch ? 1 : 0);
   report.AddText("speedup_gate",
@@ -314,6 +308,5 @@ int main(int argc, char** argv) {
                                    : "FAILED: geomean < 2x")
                      : "skipped: dispatch resolved to scalar "
                        "(no vector unit or THRIFTY_FORCE_SCALAR)");
-  report.Write();
-  return parity_ok && speedup_ok ? 0 : 1;
+  return report.Finish();
 }

@@ -25,16 +25,6 @@
 
 #include "bench_util.h"
 
-namespace {
-
-double Seconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace thrifty;
   using namespace thrifty::bench;
@@ -42,26 +32,15 @@ int main(int argc, char** argv) {
   const std::string bench_name = "solver_scaling";
   int num_tenants = 2000;
   int exact_tenants = 12;
-  std::vector<std::string> expected_fps;
+  FingerprintPins pins("--expect", {"workload", "two_step", "exact"});
   BenchOptions options = ParseBenchArgs(
       argc, argv, bench_name,
       {IntFlag("--tenants", &num_tenants, 1,
                "=N  tenants in the workload/two-step stage (default 2000)"),
        IntFlag("--exact-tenants", &exact_tenants, 1,
                "=N  tenants in the exact-solver instance (default 12)"),
-       BenchFlag{"--expect",
-                 "=W,T,E  pinned workload,two_step,exact fingerprints "
-                 "(16 hex digits each)",
-                 [&expected_fps](const std::string& value) {
-                   std::istringstream ss(value);
-                   std::string fp;
-                   expected_fps.clear();
-                   while (std::getline(ss, fp, ',')) {
-                     if (!IsHex64(fp)) return false;
-                     expected_fps.push_back(fp);
-                   }
-                   return expected_fps.size() == 3;
-                 }}});
+       pins.Flag("=W,T,E  pinned workload,two_step,exact fingerprints "
+                 "(16 hex digits each)")});
   BenchReport report(bench_name, options);
 
   PrintBanner("Solver scaling: --solver-jobs inside one solve",
@@ -137,14 +116,7 @@ int main(int argc, char** argv) {
     report.AddMetric("two_step_seconds_jobs" + std::to_string(jobs),
                      solution->solve_seconds);
 
-    uint64_t fp = kFnv1a64Offset;
-    for (const auto& group : solution->groups) {
-      std::ostringstream os;
-      os << group.max_nodes << "[";
-      for (TenantId id : group.tenant_ids) os << id << ",";
-      os << "];";
-      fp = Fnv1a64(os.str(), fp);
-    }
+    const uint64_t fp = GroupingFingerprint(*solution);
     two_step_fps.push_back(fp);
     table.AddRow(
         {"two_step", std::to_string(jobs), Hex64(fp),
@@ -193,14 +165,7 @@ int main(int argc, char** argv) {
     report.AddMetric("exact_seconds_jobs" + std::to_string(jobs),
                      Seconds(t0));
 
-    uint64_t fp = kFnv1a64Offset;
-    for (const auto& group : solution->groups) {
-      std::ostringstream os;
-      os << group.max_nodes << "[";
-      for (TenantId id : group.tenant_ids) os << id << ",";
-      os << "];";
-      fp = Fnv1a64(os.str(), fp);
-    }
+    const uint64_t fp = GroupingFingerprint(*solution);
     exact_fps.push_back(fp);
     table.AddRow({"exact", std::to_string(jobs), Hex64(fp),
                   "groups=" + std::to_string(solution->groups.size()) +
@@ -217,31 +182,14 @@ int main(int argc, char** argv) {
   };
   const bool identical = all_equal(workload_fps) && all_equal(two_step_fps) &&
                          all_equal(exact_fps);
-  std::cout << "\nfingerprint identity across solver_jobs {1, 2, 4}: "
-            << (identical ? "PASS" : "FAIL") << "\n";
-
-  bool expected_match = true;
-  if (!expected_fps.empty()) {
-    const std::pair<const char*, uint64_t> got[] = {
-        {"workload", workload_fps.front()},
-        {"two_step", two_step_fps.front()},
-        {"exact", exact_fps.front()},
-    };
-    for (size_t s = 0; s < 3; ++s) {
-      if (Hex64(got[s].second) != expected_fps[s]) {
-        expected_match = false;
-        std::cout << "fingerprint drift in " << got[s].first << ": expected "
-                  << expected_fps[s] << ", got " << Hex64(got[s].second)
-                  << "\n";
-      }
-    }
-    std::cout << "fingerprints match --expect: "
-              << (expected_match ? "PASS" : "FAIL") << "\n";
-    report.AddMetric("expected_fingerprints_match", expected_match ? 1 : 0);
-  }
+  std::cout << "\n";
+  report.Gate("fingerprints_identical", identical,
+              "fingerprint identity across solver_jobs {1, 2, 4}");
+  report.GatePins("expected_fingerprints_match", pins,
+                  {workload_fps.front(), two_step_fps.front(),
+                   exact_fps.front()});
 
   report.SetResultsTable(table);
-  report.AddMetric("fingerprints_identical", identical ? 1 : 0);
   report.AddText("identity_check",
                  identical ? "jobs1==jobs2==jobs4 for every stage"
                            : "MISMATCH — parallel solver is nondeterministic");
@@ -259,6 +207,5 @@ int main(int argc, char** argv) {
       "deterministic — the epochized vectors at E=10s, and therefore the "
       "two_step/exact fingerprints, never moved; all three are now pinned "
       "in CI via --expect at both bench sizes");
-  report.Write();
-  return identical && expected_match ? 0 : 1;
+  return report.Finish();
 }

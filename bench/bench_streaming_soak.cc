@@ -20,8 +20,7 @@
 // Reported (not gated): cycles/sec of the live soak, per-cycle solver wall
 // time, the controller's P trajectory, and the stream fingerprints. The
 // full scenario runs 400 tenants over 10 cycles; --smoke (CI) shrinks it
-// to the ctest smoke scale. --executor-mode=virtual|shared picks the
-// deployed cluster's executor; the other mode runs the cross-mode gate.
+// to the ctest smoke scale.
 
 #include <algorithm>
 #include <iostream>
@@ -61,29 +60,14 @@ int main(int argc, char** argv) {
 
   const std::string bench_name = "streaming_soak";
   bool smoke = false;
-  PsExecutorMode executor_mode = PsExecutorMode::kVirtualTime;
   BenchOptions options = ParseBenchArgs(
       argc, argv, bench_name,
-      {SwitchFlag("--smoke", &smoke, "  ctest smoke scale (CI)"),
-       BenchFlag{"--executor-mode",
-                 "=virtual|shared  executor of the deployed cluster "
-                 "(default virtual)",
-                 [&executor_mode](const std::string& value) {
-                   if (value == "virtual") {
-                     executor_mode = PsExecutorMode::kVirtualTime;
-                   } else if (value == "shared") {
-                     executor_mode = PsExecutorMode::kSharedScan;
-                   } else {
-                     return false;
-                   }
-                   return true;
-                 }}});
+      {SwitchFlag("--smoke", &smoke, "  ctest smoke scale (CI)")});
   BenchReport report(bench_name, options);
 
   soak::SoakConfig config;
   config.seed = options.seed;
   config.solver_jobs = options.solver_jobs;
-  config.executor_mode = executor_mode;
   if (!smoke) {
     config.initial_tenants = 400;
     config.cycles = 10;
@@ -98,8 +82,7 @@ int main(int argc, char** argv) {
       std::string("T=") + std::to_string(config.initial_tenants) + ", " +
           std::to_string(config.cycles) + " cycles, " +
           std::to_string(config.horizon_days) + "-day history, R=" +
-          std::to_string(config.replication_factor) + ", executor=" +
-          PsExecutorModeToString(config.executor_mode) +
+          std::to_string(config.replication_factor) +
           (smoke ? " [--smoke scenario]" : ""));
 
   const double live_start = report.ElapsedSeconds();
@@ -131,30 +114,6 @@ int main(int argc, char** argv) {
       std::cout << "replay (solver-jobs=" << jobs
                 << ") diverged from the live run\n";
       replay_identical = false;
-    }
-  }
-
-  // Cross-executor-mode identity: the planning loop never reads executor
-  // state, so a live soak on the shared-scan cluster must produce the same
-  // event log, decisions, and controller trajectory as the virtual-time
-  // one. Run the live soak again in the "other" mode and compare.
-  soak::SoakConfig cross_config = config;
-  cross_config.executor_mode =
-      config.executor_mode == PsExecutorMode::kSharedScan
-          ? PsExecutorMode::kVirtualTime
-          : PsExecutorMode::kSharedScan;
-  bool cross_mode_identical = false;
-  auto cross = soak::RunSoak(cross_config);
-  if (!cross.ok()) {
-    std::cout << "cross-mode soak ("
-              << PsExecutorModeToString(cross_config.executor_mode)
-              << ") failed: " << cross.status() << "\n";
-  } else {
-    cross_mode_identical = OutcomesMatch(*live, *cross);
-    if (!cross_mode_identical) {
-      std::cout << "cross-mode soak ("
-                << PsExecutorModeToString(cross_config.executor_mode)
-                << ") diverged from the live run's fingerprints\n";
     }
   }
 
@@ -230,24 +189,6 @@ int main(int argc, char** argv) {
             << FormatDouble(live->min_sla_fraction, 6)
             << (controller_ok ? " (in band)" : " (OUT OF BAND)") << "\n";
 
-  std::cout << "Cross-mode:  "
-            << PsExecutorModeToString(config.executor_mode) << " vs "
-            << PsExecutorModeToString(cross_config.executor_mode) << " -> "
-            << (cross_mode_identical ? "identical fingerprints"
-                                     : "MISMATCH")
-            << "\n";
-
-  bool ok = replay_identical && controller_ok && coverage_ok &&
-            cross_mode_identical;
-  if (!ok) {
-    std::cout << "\nFAIL:";
-    if (!replay_identical) std::cout << " replay-fingerprint-mismatch";
-    if (!controller_ok) std::cout << " controller-out-of-band";
-    if (!coverage_ok) std::cout << " cycle-coverage";
-    if (!cross_mode_identical) std::cout << " cross-executor-mode-mismatch";
-    std::cout << "\n";
-  }
-
   report.SetResultsTable(table);
   report.AddText("event_log_fnv1a",
                  Hex64(live->event_log_fingerprint));
@@ -266,18 +207,12 @@ int main(int argc, char** argv) {
     report.AddMetric("replay_seconds_jobs" + std::to_string(jobs_values[i]),
                      replay_seconds[i]);
   }
-  report.AddMetric("replay_identity_check_passed", replay_identical ? 1 : 0);
-  report.AddMetric("controller_band_check_passed", controller_ok ? 1 : 0);
-  report.AddMetric("coverage_check_passed", coverage_ok ? 1 : 0);
-  report.AddText("executor_mode", PsExecutorModeToString(config.executor_mode));
-  if (cross.ok()) {
-    report.AddText("cross_mode_decision_fnv1a",
-                   Hex64(cross->decision_fingerprint));
-    report.AddText("cross_mode_controller_fnv1a",
-                   Hex64(cross->controller_fingerprint));
-  }
-  report.AddMetric("cross_mode_identity_check_passed",
-                   cross_mode_identical ? 1 : 0);
-  report.Write();
-  return ok ? 0 : 1;
+  std::cout << "\n";
+  report.Gate("replay_identity_check_passed", replay_identical,
+              "replay fingerprints identical at solver-jobs 1/2/4");
+  report.Gate("controller_band_check_passed", controller_ok,
+              "controller P and violation rate in band");
+  report.Gate("coverage_check_passed", coverage_ok,
+              "one decision and one plan per cycle");
+  return report.Finish();
 }

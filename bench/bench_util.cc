@@ -108,6 +108,26 @@ std::string Hex64(uint64_t value) {
   return buf;
 }
 
+BenchFlag FingerprintPins::Flag(std::string help) {
+  return BenchFlag{flag, std::move(help),
+                   [this](const std::string& value) {
+                     std::istringstream ss(value);
+                     std::string fp;
+                     expected.clear();
+                     while (std::getline(ss, fp, ',')) {
+                       if (!IsHex64(fp)) return false;
+                       expected.push_back(fp);
+                     }
+                     return expected.size() == names.size();
+                   }};
+}
+
+double Seconds(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       since)
+      .count();
+}
+
 BenchOptions ParseBenchArgs(int argc, char** argv,
                             const std::string& bench_name,
                             const std::vector<BenchFlag>& bench_flags) {
@@ -206,10 +226,28 @@ void BenchReport::SetResultsTable(const TablePrinter& table) {
   results_table_ = RenderTable(table);
 }
 
-double BenchReport::ElapsedSeconds() const {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start_)
-      .count();
+double BenchReport::ElapsedSeconds() const { return Seconds(start_); }
+
+void BenchReport::Gate(const std::string& metric, bool passed,
+                       const std::string& label) {
+  std::cout << label << ": " << (passed ? "PASS" : "FAIL") << "\n";
+  if (!metric.empty()) AddMetric(metric, passed ? 1 : 0);
+  if (!passed) failed_gates_.push_back(label);
+}
+
+void BenchReport::GatePins(const std::string& metric,
+                           const FingerprintPins& pins,
+                           const std::vector<uint64_t>& got) {
+  if (pins.expected.empty()) return;
+  bool match = true;
+  for (size_t i = 0; i < pins.names.size(); ++i) {
+    if (Hex64(got[i]) != pins.expected[i]) {
+      match = false;
+      std::cout << "fingerprint drift in " << pins.names[i] << ": expected "
+                << pins.expected[i] << ", got " << Hex64(got[i]) << "\n";
+    }
+  }
+  Gate(metric, match, "fingerprints match " + pins.flag);
 }
 
 size_t PeakRssBytes() {
@@ -226,7 +264,14 @@ size_t PeakRssBytes() {
 #endif
 }
 
-void BenchReport::Write() {
+int BenchReport::Finish() {
+  if (!passed()) {
+    std::cout << "\nFAIL:";
+    for (size_t i = 0; i < failed_gates_.size(); ++i) {
+      std::cout << (i == 0 ? " " : "; ") << failed_gates_[i];
+    }
+    std::cout << "\n";
+  }
   double wall_seconds = ElapsedSeconds();
   size_t peak_rss = PeakRssBytes();
   if (peak_rss > 0) {
@@ -239,8 +284,12 @@ void BenchReport::Write() {
             << ", solver_jobs=" << options_.solver_jobs
             << ", seed=" << options_.seed << ", results fingerprint "
             << fingerprint << "\n";
+  if (options_.write_json) WriteJson(wall_seconds, fingerprint);
+  return passed() ? 0 : 1;
+}
 
-  if (!options_.write_json) return;
+void BenchReport::WriteJson(double wall_seconds,
+                            const std::string& fingerprint) const {
   std::string json;
   json += "{\n";
   json += "  \"bench\": \"";

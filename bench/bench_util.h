@@ -84,6 +84,31 @@ bool IsHex64(const std::string& text);
 /// \brief Formats a 64-bit fingerprint as 16 lowercase hex digits.
 std::string Hex64(uint64_t value);
 
+/// \brief Fingerprints pinned by one flag carrying `names.size()`
+/// comma-separated Hex64 values (e.g. --expect=W,T,E), checked with
+/// BenchReport::GatePins.
+struct FingerprintPins {
+  /// `flag` is the name with its leading dashes, e.g. "--expect"; `names`
+  /// say what each pinned value fingerprints, in flag order.
+  FingerprintPins(std::string flag, std::vector<std::string> names)
+      : flag(std::move(flag)), names(std::move(names)) {}
+  // The parser Flag() returns writes through `this`.
+  FingerprintPins(const FingerprintPins&) = delete;
+  FingerprintPins& operator=(const FingerprintPins&) = delete;
+
+  /// \brief The flag that fills `expected`. A value that is not exactly
+  /// names.size() Hex64 fingerprints is malformed (exit 2).
+  BenchFlag Flag(std::string help);
+
+  const std::string flag;
+  const std::vector<std::string> names;
+  /// The pinned values; empty unless the flag was given.
+  std::vector<std::string> expected;
+};
+
+/// \brief Seconds elapsed on the steady clock since `since`.
+double Seconds(std::chrono::steady_clock::time_point since);
+
 /// \brief Parses the shared flags (--jobs/--solver-jobs/--seed/--out/
 /// --warm-start/--no-json/--help) plus the bench's own `flags`. An unknown
 /// argument, a missing value or a malformed value prints a message naming
@@ -95,13 +120,15 @@ BenchOptions ParseBenchArgs(int argc, char** argv,
 /// \brief Renders a TablePrinter to a string.
 std::string RenderTable(const TablePrinter& table);
 
-/// \brief Collects a bench run's wall clock, metrics, and deterministic
-/// result table, and writes them to BENCH_<name>.json.
+/// \brief Collects a bench run's wall clock, metrics, gates, and
+/// deterministic result table, writes them to BENCH_<name>.json, and
+/// decides the exit code.
 ///
 /// The results table must contain only deterministic cells (no wall-clock
 /// timings), so its fingerprint is byte-identical for --jobs=1 and
 /// --jobs=N; timings belong in metrics, which are reported but never
-/// fingerprinted.
+/// fingerprinted. A bench `main` ends in `return report.Finish();`, which
+/// is 1 if any gate failed.
 class BenchReport {
  public:
   /// \brief Starts the wall clock.
@@ -115,16 +142,34 @@ class BenchReport {
 
   double ElapsedSeconds() const;
 
-  /// \brief Stops the clock, prints a summary line, and writes the JSON
-  /// file (unless --no-json).
-  void Write();
+  /// \brief A pass/fail check: prints "<label>: PASS" (or FAIL) and records
+  /// `metric` as 1 (or 0); an empty `metric` records none. A failed gate
+  /// makes Finish() print its label and return 1.
+  void Gate(const std::string& metric, bool passed, const std::string& label);
+
+  /// \brief Gates `metric` on `got` (one fingerprint per pins.names entry)
+  /// matching the pinned values, printing a drift line per mismatch. A
+  /// no-op when the pin flag was not given.
+  void GatePins(const std::string& metric, const FingerprintPins& pins,
+                const std::vector<uint64_t>& got);
+
+  /// \brief True while no gate has failed.
+  bool passed() const { return failed_gates_.empty(); }
+
+  /// \brief Stops the clock, prints the failed gates and a summary line,
+  /// writes the JSON file (unless --no-json), and returns the exit code:
+  /// 0 if every gate passed, else 1.
+  int Finish();
 
  private:
+  void WriteJson(double wall_seconds, const std::string& fingerprint) const;
+
   std::string bench_name_;
   BenchOptions options_;
   std::chrono::steady_clock::time_point start_;
   std::vector<std::pair<std::string, double>> metrics_;
   std::vector<std::pair<std::string, std::string>> info_;
+  std::vector<std::string> failed_gates_;
   std::string results_table_;
 };
 

@@ -152,14 +152,12 @@ int main(int argc, char** argv) {
   table.Print(std::cout);
   std::cout << "\nWorst normalized latency expectation: ~1.33 for a 4-node "
                "MPPDB missing 1 node, ~2.0 missing 2.\n";
-  std::cout << (all_ok ? "\nAvailability behaviour as expected in all "
-                         "trials.\n"
-                       : "\nWARNING: unexpected availability behaviour!\n");
+  std::cout << "\n";
+  report.Gate("all_ok", all_ok,
+              "availability behaviour as expected in all trials");
 
   report.SetResultsTable(table);
   report.AddMetric("trials", static_cast<double>(kTrials));
-  report.AddMetric("all_ok", all_ok ? 1.0 : 0.0);
   report.AddMetric("canonical_worst_normalized", trials[0].worst_normalized);
-  report.Write();
-  return all_ok ? 0 : 1;
+  return report.Finish();
 }

@@ -159,6 +159,5 @@ int main(int argc, char** argv) {
                    static_cast<double>(reactive.violations));
   report.AddMetric("proactive_violations",
                    static_cast<double>(proactive.violations));
-  report.Write();
-  return 0;
+  return report.Finish();
 }

@@ -152,6 +152,5 @@ int main(int argc, char** argv) {
   }
 
   report.SetResultsTable(results);
-  report.Write();
-  return 0;
+  return report.Finish();
 }

@@ -159,10 +159,9 @@ int main(int argc, char** argv) {
   std::cout << "\nTwo-step group-level-set memory (sparse vs dense "
                "equivalent):\n";
   memory.Print(std::cout);
-  if (!compression_ok) {
-    std::cout << "\nFAIL: level-set compression at the finest E points is "
-                 "below the required 4x\n";
-  }
+  std::cout << "\n";
+  report.Gate("compression_check_passed", compression_ok,
+              "level-set compression >= 4x at the finest E points");
 
   // --warm-start: a second, deliberately sequential two-step pass. Each
   // point is seeded with the previous point's (warm) plan — the tenant
@@ -211,7 +210,5 @@ int main(int argc, char** argv) {
 
   report.SetResultsTable(table);
   report.AddMetric("trials", static_cast<double>(points.size()));
-  report.AddMetric("compression_check_passed", compression_ok ? 1 : 0);
-  report.Write();
-  return compression_ok ? 0 : 1;
+  return report.Finish();
 }

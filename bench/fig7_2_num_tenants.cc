@@ -80,6 +80,5 @@ int main(int argc, char** argv) {
 
   report.SetResultsTable(table);
   report.AddMetric("trials", static_cast<double>(std::size(tenant_counts)));
-  report.Write();
-  return 0;
+  return report.Finish();
 }

@@ -66,6 +66,5 @@ int main(int argc, char** argv) {
 
   report.SetResultsTable(table);
   report.AddMetric("trials", static_cast<double>(std::size(thetas)));
-  report.Write();
-  return 0;
+  return report.Finish();
 }

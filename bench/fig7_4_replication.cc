@@ -69,6 +69,5 @@ int main(int argc, char** argv) {
 
   report.SetResultsTable(table);
   report.AddMetric("trials", static_cast<double>(rows.size()));
-  report.Write();
-  return 0;
+  return report.Finish();
 }

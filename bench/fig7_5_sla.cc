@@ -96,10 +96,10 @@ int main(int argc, char** argv) {
   // warm plan. Groups packed at a looser SLA often violate a tighter one;
   // group repair evicts only the members that break it and keeps the rest
   // grouped, which is where the time saving comes from.
-  bool warm_ok = true;
   if (options.warm_start) {
     TablePrinter warm({"P", "cold (s)", "warm (s)", "saved (s)",
                        "eff delta (pp)", "kept", "repaired", "evicted"});
+    bool warm_ok = true;
     GroupingSolution previous;
     for (size_t point = 0; point < std::size(sla_fractions); ++point) {
       GroupingSolution current;
@@ -136,15 +136,13 @@ int main(int argc, char** argv) {
                  "its own cold plan, later points by the previous point's "
                  "plan):\n";
     warm.Print(std::cout);
-    if (!warm_ok) {
-      std::cout << "\nFAIL: warm start drifted more than 1pp from the cold "
-                   "solve or saved no time at some P\n";
-    }
-    report.AddMetric("warm_start_check_passed", warm_ok ? 1 : 0);
+    std::cout << "\n";
+    report.Gate("warm_start_check_passed", warm_ok,
+                "warm start within 1pp of the cold solve and faster at "
+                "every P");
   }
 
   report.SetResultsTable(table);
   report.AddMetric("trials", static_cast<double>(rows.size()));
-  report.Write();
-  return warm_ok ? 0 : 1;
+  return report.Finish();
 }

@@ -225,6 +225,5 @@ int main(int argc, char** argv) {
   report.AddMetric("completed_on", static_cast<double>(on.completed));
   report.AddMetric("violations_on", static_cast<double>(on.violations));
   report.AddMetric("scaling_events", static_cast<double>(on.events.size()));
-  report.Write();
-  return 0;
+  return report.Finish();
 }

@@ -87,6 +87,5 @@ int main(int argc, char** argv) {
   report.SetResultsTable(table);
   report.AddMetric("e2e_10node_1tb_hours", e2e_hours);
   report.AddMetric("trials", static_cast<double>(std::size(rows) + 1));
-  report.Write();
-  return 0;
+  return report.Finish();
 }

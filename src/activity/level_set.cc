@@ -117,13 +117,15 @@ void GroupLevelSet::BuildPlan(const ActivityVector& v, EvalScratch* scratch,
   const size_t W = widx.size();
   const size_t L = pops_.size();
 
-  // One capacity reservation covers every Alloc of this candidate's cycle
-  // (temporaries, sorted arrays, and the worst-case lazily gathered rows —
-  // bounded by the whole column arena), so spans handed out below are
-  // never invalidated by growth.
+  // One capacity reservation covers every Alloc of this candidate's cycle,
+  // so spans handed out below are never invalidated by growth. In 8-byte
+  // words: the W-sized temporaries and sorted arrays take at most
+  // 4.5 W + 3 (three uint64 arrays and three uint32 arrays), the per-level
+  // arrays at most 2 L + 4, and the lazily gathered rows at most the whole
+  // column arena.
   EvalArena& arena = scratch->arena;
   arena.Reset();
-  arena.Reserve(4 * W + 2 * (L + 2) + arena_.size() + 16);
+  arena.Reserve(5 * W + 2 * (L + 2) + arena_.size() + 16);
 
   // Pass 1: two-pointer merge of the candidate's nonzero words with the
   // touched index, in word order. Matches stage their (height, start,

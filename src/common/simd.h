@@ -238,9 +238,9 @@ class EvalArena {
   T* Alloc(size_t count) {
     static_assert(alignof(T) <= alignof(uint64_t));
     size_t words = (count * sizeof(T) + 7) / 8;
-    // Callers pre-Reserve; this is the backstop that keeps Alloc safe if a
-    // bound was computed too tightly (it invalidates nothing already
-    // handed out only because Grow copies the live prefix).
+    // Callers pre-Reserve. This backstop keeps the new span valid if a
+    // bound was computed too tightly, but Grow moves the block: spans
+    // handed out earlier in the cycle dangle (their contents are copied).
     if (used_ + words > capacity_) Grow((used_ + words) * 2);
     T* out = reinterpret_cast<T*>(block_ + used_);
     used_ += words;

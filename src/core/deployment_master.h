@@ -46,9 +46,6 @@ class DeploymentMaster {
   Status UndeployGroup(GroupId group_id,
                        const std::vector<InstanceId>& instances);
 
-  Cluster* cluster() const { return cluster_; }
-  QueryRouter* router() const { return router_; }
-
  private:
   Cluster* cluster_;
   QueryRouter* router_;

@@ -161,7 +161,7 @@ Result<ReconsolidationOutput> ReconsolidationPlanner::Plan(
   THRIFTY_ASSIGN_OR_RETURN(
       AdvisorOutput advised,
       advisor.Advise(affected, history, history_begin, history_end));
-  if (options_.warm_start_from_plan && !affected_groups.empty()) {
+  if (!affected_groups.empty()) {
     GroupingSolution seed;
     seed.groups.reserve(affected_groups.size());
     for (const GroupDeployment* group : affected_groups) {

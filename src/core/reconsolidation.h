@@ -41,14 +41,6 @@ struct ReconsolidationOptions {
   /// trigger. Negative disables drift screening (the pre-delta behavior:
   /// only explicit triggers re-solve).
   double activity_delta_threshold = -1.0;
-  /// Warm-start the re-solve with the affected groups' previous
-  /// memberships, letting group repair keep feasible structure. The warm
-  /// result is kept only when it consumes no more nodes than a cold
-  /// re-solve of the same subset (seed-kept groups can only grow, so a
-  /// sticky seed can occasionally pack worse; ties keep the warm plan's
-  /// stable memberships). Disable to re-solve the affected tenants cold
-  /// only.
-  bool warm_start_from_plan = true;
   /// For each size class holding an affected tenant, additionally re-solve
   /// this many of the class's least-populated unaffected groups (the
   /// greedy tail), so hard-to-pack affected tenants can merge into their
@@ -99,7 +91,7 @@ struct ReconsolidationOutput {
 class ReconsolidationPlanner {
  public:
   explicit ReconsolidationPlanner(ReconsolidationOptions options);
-  /// Advisor-options-only form: drift screening disabled, warm start on.
+  /// Advisor-options-only form: drift screening disabled.
   explicit ReconsolidationPlanner(AdvisorOptions options = AdvisorOptions());
 
   /// \brief Computes the next deployment plan.

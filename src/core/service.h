@@ -42,13 +42,6 @@ struct ServiceOptions {
   /// Enable §5.1 lightweight elastic scaling.
   bool elastic_scaling = true;
   ElasticScalerOptions scaling;
-  /// A query meets its SLA when normalized performance <= tolerance.
-  /// Slightly above 1 to absorb millisecond event rounding.
-  double sla_tolerance = 1.01;
-  /// Executor mode for the per-tenant shadow instances. Cluster instances
-  /// take their mode from Cluster::set_executor_mode; set both to run the
-  /// whole service on one executor mode.
-  PsExecutorMode executor_mode = PsExecutorMode::kVirtualTime;
 };
 
 /// \brief Outcome of one query: real execution + isolated counterfactual.
@@ -131,7 +124,6 @@ class ThriftyService {
 
   SimEngine* engine() { return engine_; }
   Cluster* cluster() { return cluster_; }
-  const QueryCatalog* catalog() const { return catalog_; }
 
  private:
   void OnRealCompletion(const QueryCompletion& completion);

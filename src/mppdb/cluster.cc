@@ -23,8 +23,7 @@ Result<MppdbInstance*> Cluster::CreateInstanceOnline(int nodes) {
   }
   nodes_in_use_ += nodes;
   instances_.push_back(std::make_unique<MppdbInstance>(
-      next_instance_id_++, nodes, engine_, InstanceState::kOnline,
-      executor_mode_));
+      next_instance_id_++, nodes, engine_, InstanceState::kOnline));
   if (default_completion_) {
     instances_.back()->set_completion_callback(default_completion_);
   }
@@ -42,8 +41,7 @@ Result<MppdbInstance*> Cluster::CreateInstanceAsync(
   }
   nodes_in_use_ += nodes;
   instances_.push_back(std::make_unique<MppdbInstance>(
-      next_instance_id_++, nodes, engine_, InstanceState::kProvisioning,
-      executor_mode_));
+      next_instance_id_++, nodes, engine_, InstanceState::kProvisioning));
   MppdbInstance* instance = instances_.back().get();
   if (default_completion_) {
     instance->set_completion_callback(default_completion_);

@@ -50,11 +50,6 @@ class Cluster {
     default_completion_ = std::move(cb);
   }
 
-  /// \brief Processor-sharing executor mode for instances created from now
-  /// on.
-  void set_executor_mode(PsExecutorMode mode) { executor_mode_ = mode; }
-  PsExecutorMode executor_mode() const { return executor_mode_; }
-
   /// \brief Allocates `nodes` nodes and creates an already-online instance.
   ///
   /// Used for the initial deployment, which completes before the service
@@ -98,7 +93,6 @@ class Cluster {
   ProvisioningModel provisioning_;
   std::vector<std::unique_ptr<MppdbInstance>> instances_;
   MppdbInstance::CompletionCallback default_completion_;
-  PsExecutorMode executor_mode_ = PsExecutorMode::kVirtualTime;
   InstanceId next_instance_id_ = 0;
   int failures_injected_ = 0;
 };

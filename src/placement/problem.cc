@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "activity/level_set.h"
+#include "common/fnv.h"
 
 namespace thrifty {
 
@@ -165,6 +166,22 @@ Status VerifySolution(const PackingProblem& problem,
                       const GroupingSolution& solution) {
   GroupingSolution copy = solution;
   return CheckAndAnnotate(problem, &copy, /*annotate=*/false);
+}
+
+uint64_t GroupingFingerprint(const GroupingSolution& solution) {
+  // Chained per group, so a million-tenant plan never builds one string.
+  uint64_t fp = kFnv1a64Offset;
+  std::string record;
+  for (const auto& group : solution.groups) {
+    record = std::to_string(group.max_nodes) + "[";
+    for (TenantId id : group.tenant_ids) {
+      record += std::to_string(id);
+      record += ',';
+    }
+    record += "];";
+    fp = Fnv1a64(record, fp);
+  }
+  return fp;
 }
 
 Status AnnotateSolution(const PackingProblem& problem,

@@ -110,6 +110,12 @@ struct GroupingSolution {
 Status VerifySolution(const PackingProblem& problem,
                       const GroupingSolution& solution);
 
+/// \brief FNV-1a 64 of a solution's membership stream: one
+/// `max_nodes[id,id,...];` record per group, in group and member order.
+/// Wall-clock and annotation fields are excluded, so the value is the
+/// plan's deterministic identity (the fingerprint benches and CI pin).
+uint64_t GroupingFingerprint(const GroupingSolution& solution);
+
 /// \brief Recomputes per-group ttp/max_active/max_nodes from scratch.
 Status AnnotateSolution(const PackingProblem& problem,
                         GroupingSolution* solution);

@@ -94,11 +94,6 @@ struct StreamingServiceOptions {
   /// Live mode: Tick() emits a kCycleMark whenever the attached clock has
   /// advanced cycle_period past the previous mark.
   SimDuration cycle_period = kDay;
-  /// Executor mode applied to the attached deployment's cluster (every
-  /// instance deployed by a cycle runs in this mode). Planning never reads
-  /// executor state, so decisions/plan fingerprints are mode-independent —
-  /// the soak gates assert exactly that.
-  PsExecutorMode executor_mode = PsExecutorMode::kVirtualTime;
 };
 
 /// \brief What one re-consolidation cycle decided. Wall times are
@@ -134,12 +129,7 @@ class StreamingService {
 
   /// \brief Live mode wiring: cluster-applying master (optional — without
   /// one the service plans but does not deploy) and the clock Tick() reads.
-  void AttachDeployment(DeploymentMaster* master) {
-    master_ = master;
-    if (master_ != nullptr) {
-      master_->cluster()->set_executor_mode(options_.executor_mode);
-    }
-  }
+  void AttachDeployment(DeploymentMaster* master) { master_ = master; }
   void AttachClock(const ClockSource* clock) { clock_ = clock; }
 
   /// \brief Appends one event to the log and applies it. The sequence is

@@ -4,8 +4,6 @@
 // at every num_shards x shard_jobs x solver_jobs combination.
 
 #include <algorithm>
-#include <sstream>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,18 +44,6 @@ Instance RandomInstance(uint64_t seed, int num_tenants, size_t num_epochs) {
     inst.tenants.push_back(spec);
   }
   return inst;
-}
-
-// The plan's deterministic bytes: group order, membership order, and size
-// class. Wall-clock fields are excluded on purpose.
-std::string PlanFingerprint(const GroupingSolution& solution) {
-  std::ostringstream os;
-  for (const auto& group : solution.groups) {
-    os << group.max_nodes << "[";
-    for (TenantId id : group.tenant_ids) os << id << ",";
-    os << "];";
-  }
-  return os.str();
 }
 
 // Tenant-id view of a partition, for comparing partitions computed from
@@ -135,7 +121,7 @@ TEST(HierarchicalTest, FingerprintIdenticalAcrossParallelism) {
   base_options.shard_tenant_target = 48;
   auto base = SolveHierarchical(*problem, base_options);
   ASSERT_TRUE(base.ok());
-  const std::string base_fp = PlanFingerprint(*base);
+  const uint64_t base_fp = GroupingFingerprint(*base);
 
   for (int num_shards : {1, 4, 16}) {
     for (int solver_jobs : {1, 2, 4}) {
@@ -146,7 +132,7 @@ TEST(HierarchicalTest, FingerprintIdenticalAcrossParallelism) {
       auto solution = SolveHierarchical(*problem, options);
       ASSERT_TRUE(solution.ok())
           << "num_shards=" << num_shards << " solver_jobs=" << solver_jobs;
-      EXPECT_EQ(base_fp, PlanFingerprint(*solution))
+      EXPECT_EQ(base_fp, GroupingFingerprint(*solution))
           << "num_shards=" << num_shards << " solver_jobs=" << solver_jobs;
     }
   }
@@ -169,7 +155,7 @@ TEST(HierarchicalTest, MatchesFlatSolveWhenOneShard) {
   ASSERT_TRUE(hier.ok());
   EXPECT_EQ(stats.num_logical_shards, 1u);
   EXPECT_EQ(stats.groups_reopened, 0u);
-  EXPECT_EQ(PlanFingerprint(*flat), PlanFingerprint(*hier));
+  EXPECT_EQ(GroupingFingerprint(*flat), GroupingFingerprint(*hier));
 }
 
 TEST(HierarchicalTest, DirectedEmptyAndSingleTenant) {
@@ -246,7 +232,7 @@ TEST(HierarchicalTest, DirectedAllTenantsOneFingerprint) {
     batched.shard_jobs = 2;
     auto solution = SolveHierarchical(*problem, batched);
     ASSERT_TRUE(solution.ok()) << "num_shards=" << num_shards;
-    EXPECT_EQ(PlanFingerprint(*base), PlanFingerprint(*solution))
+    EXPECT_EQ(GroupingFingerprint(*base), GroupingFingerprint(*solution))
         << "num_shards=" << num_shards;
   }
 }
@@ -299,7 +285,7 @@ TEST(HierarchicalTest, ParallelismKnobsClampLikeTwoStep) {
   clamped.num_shards = -5;
   auto solution = SolveHierarchical(*problem, clamped);
   ASSERT_TRUE(solution.ok());
-  EXPECT_EQ(PlanFingerprint(*reference), PlanFingerprint(*solution));
+  EXPECT_EQ(GroupingFingerprint(*reference), GroupingFingerprint(*solution));
 }
 
 }  // namespace

@@ -275,5 +275,23 @@ TEST(LevelSetTest, EvaluateAddAllZeroCandidateOnEmptyGroupIsEmpty) {
             (std::vector<size_t>{64}));
 }
 
+// A candidate that matches every touched column of a tall group makes the
+// evaluation plan gather every level row: the plan's arena use is then at
+// its bound. The arena block here is large enough to be returned to the OS
+// on free, so a growth in the middle of the plan (which would leave the
+// plan's spans dangling) crashes rather than reading stale memory.
+TEST(LevelSetTest, EvaluateAddFullyMatchedTallGroupFitsItsArena) {
+  const size_t num_epochs = 64 * 8192;
+  DynamicBitmap full(num_epochs);
+  full.SetRange(0, num_epochs);
+  GroupLevelSet g(num_epochs);
+  for (TenantId id = 1; id <= 3; ++id) {
+    g.Add(ActivityVector::FromBitmap(id, full));
+  }
+  const ActivityVector candidate = ActivityVector::FromBitmap(4, full);
+  EXPECT_EQ(g.EvaluateAdd(candidate),
+            (std::vector<size_t>(4, num_epochs)));
+}
+
 }  // namespace
 }  // namespace thrifty

@@ -95,7 +95,6 @@ StreamingServiceOptions MakeServiceOptions(const SoakConfig& config) {
   options.history_begin = 0;
   options.history_end = static_cast<SimTime>(config.horizon_days) * kDay;
   options.cycle_period = config.cycle_period;
-  options.executor_mode = config.executor_mode;
   return options;
 }
 

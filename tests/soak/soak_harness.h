@@ -55,10 +55,6 @@ struct SoakConfig {
   /// ReconsolidationOptions::activity_delta_threshold for the per-cycle
   /// delta solves.
   double activity_delta_threshold = 0.003;
-  /// Executor mode the deployed cluster's instances run in (deploy=true).
-  /// Planning is executor-blind, so every fingerprint in SoakOutcome must
-  /// be identical across modes — the soak bench gates on it.
-  PsExecutorMode executor_mode = PsExecutorMode::kVirtualTime;
 };
 
 /// \brief Everything the soak gates compare between a live run and a
