@@ -1,28 +1,35 @@
 // Churn soak: delta re-consolidation vs cold full solves over a sequence
-// of register / de-register / activity-drift cycles.
+// of register / de-register / activity-drift cycles, run through the
+// streaming service (the live re-consolidation cycle of Chapter 3, §5.1).
 //
-// A tenant population is generated once; an initial deployment plan is
-// advised over the starting tenants. Each cycle then deterministically
-// de-registers a few tenants, registers fresh ones from a reserve pool,
-// and drifts the activity of a few others (their query logs are thinned,
-// halving their active ratio). Two planners process every cycle:
+// A tenant population is generated once. A live StreamingService on-boards
+// the starting tenants and runs an initial cycle (the initial deployment).
+// Each churn cycle then feeds the service a deterministic batch of events —
+// a few de-registrations, registrations of fresh tenants from a reserve
+// pool, and activity drifts of a few others (stride-2 thinning of their
+// stored query history, halving their active ratio) — followed by a cycle
+// mark. No SLA reports flow, so the controller holds P at its initial
+// 99.9%. Two plans are compared every cycle:
 //
-//   - delta: ReconsolidationPlanner with activity-drift screening and a
-//     warm-started re-solve. Untouched groups are carried over
-//     byte-identically (ids kept); only affected groups are re-grouped,
-//     with group repair keeping feasible seed structure.
-//   - cold: a full DeploymentAdvisor::Advise over the entire registered
-//     population, as if no previous plan existed.
+//   - delta: the live service's cycle — the delta re-consolidation
+//     planner with activity-drift screening and a warm-started re-solve. Untouched
+//     groups are carried over byte-identically (ids kept); only affected
+//     groups are re-grouped, with group repair keeping feasible seed
+//     structure.
+//   - cold: a fresh service on-boards the live service's registered
+//     tenants with their current history and runs one cycle from an empty
+//     plan — a full solve, as if no previous plan existed.
 //
 // The soak gates (exit 1 on failure):
-//   - determinism: the delta pass's plan-membership fingerprint is
-//     byte-identical at --solver-jobs 1, 2, and 4;
+//   - determinism: the live event log replayed at --solver-jobs 1, 2, and
+//     4 reproduces the live run's decision fingerprint (which embeds every
+//     cycle's plan fingerprint) byte for byte;
 //   - effectiveness: per cycle, the delta plan's consolidation
 //     effectiveness is within 1pp of the cold plan's;
-//   - coverage: every registered tenant appears in the delta plan exactly
-//     once;
-//   - speed (full scenario only): summed over cycles, the delta re-solve
-//     is at least 10x faster than the cold full solve.
+//   - coverage: every registered tenant appears in the delta and cold
+//     plans exactly once;
+//   - speed (full scenario only): summed over cycles, the delta service
+//     cycle is at least 10x faster than the cold one.
 //
 // Extra flag: --smoke shrinks the scenario to T=260 tenants, a 3-day
 // horizon, and 2 cycles for CI; the speed ratio is reported but not gated
@@ -39,6 +46,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "service/streaming_service.h"
 
 namespace thrifty {
 namespace {
@@ -46,8 +54,7 @@ namespace {
 using bench::Workload;
 
 /// One cycle's churn, as indices into the workload's tenant array. Built
-/// up front from the bench seed only, so every pass (delta at each
-/// --solver-jobs value, cold) replays the identical schedule.
+/// up front from the bench seed only.
 struct CycleChurn {
   std::vector<size_t> deregistered;
   std::vector<size_t> registered;
@@ -61,21 +68,6 @@ struct SoakScenario {
   int drift_per_cycle = 3;  // tenants whose activity drifts per cycle
   int horizon_days = 14;
 };
-
-/// Builds a tenant's query log from its activity intervals, keeping every
-/// `stride`-th interval. stride 1 reproduces the tenant's full activity;
-/// stride 2^g is the g-times-drifted (thinned) variant, whose active
-/// ratio is roughly halved per drift.
-TenantLog BuildLog(const Workload& workload, size_t index, size_t stride) {
-  TenantLog log;
-  log.tenant_id = workload.tenants[index].id;
-  const auto& intervals = workload.activity[index].intervals();
-  for (size_t j = 0; j < intervals.size(); j += stride) {
-    log.entries.push_back(
-        {intervals[j].begin, 0, intervals[j].length(), -1});
-  }
-  return log;
-}
 
 std::vector<CycleChurn> BuildSchedule(const SoakScenario& scenario,
                                       uint64_t seed) {
@@ -109,82 +101,40 @@ std::vector<CycleChurn> BuildSchedule(const SoakScenario& scenario,
   return schedule;
 }
 
-/// Mutable registration state replayed by every pass.
-struct SoakState {
-  std::vector<size_t> registered;           // workload indices
-  std::vector<TenantLog> history;           // one log per registered tenant
-  std::unordered_map<size_t, size_t> drift_gen;  // index -> thinnings
-
-  explicit SoakState(const Workload& workload, int initial_tenants) {
-    registered.reserve(static_cast<size_t>(initial_tenants));
-    history.reserve(static_cast<size_t>(initial_tenants));
-    for (size_t i = 0; i < static_cast<size_t>(initial_tenants); ++i) {
-      registered.push_back(i);
-      history.push_back(BuildLog(workload, i, 1));
-    }
+/// Registration event for a workload tenant: its spec plus one query log
+/// entry per activity interval.
+TenantEvent RegisterEvent(const Workload& workload, size_t index,
+                          SimTime time) {
+  std::vector<QueryLogEntry> entries;
+  for (const auto& interval : workload.activity[index].intervals()) {
+    entries.push_back({interval.begin, 0, interval.length(), -1});
   }
-
-  void Apply(const Workload& workload, const CycleChurn& churn) {
-    for (size_t index : churn.deregistered) {
-      TenantId id = workload.tenants[index].id;
-      auto reg = std::find(registered.begin(), registered.end(), index);
-      registered.erase(reg);
-      auto log = std::find_if(
-          history.begin(), history.end(),
-          [id](const TenantLog& l) { return l.tenant_id == id; });
-      history.erase(log);
-    }
-    for (size_t index : churn.registered) {
-      registered.push_back(index);
-      history.push_back(BuildLog(workload, index, 1));
-    }
-    for (size_t index : churn.drifted) {
-      size_t gen = ++drift_gen[index];
-      TenantId id = workload.tenants[index].id;
-      auto log = std::find_if(
-          history.begin(), history.end(),
-          [id](const TenantLog& l) { return l.tenant_id == id; });
-      if (log != history.end()) {
-        *log = BuildLog(workload, index, size_t{1} << gen);
-      }
-    }
-  }
-
-  std::vector<TenantSpec> RegisteredSpecs(const Workload& workload) const {
-    std::vector<TenantSpec> specs;
-    specs.reserve(registered.size());
-    for (size_t index : registered) specs.push_back(workload.tenants[index]);
-    return specs;
-  }
-};
-
-/// Appends the advisor's excluded (always-active / burst-imminent) tenants
-/// as dedicated singleton groups, the way the re-consolidation planner
-/// does, so cold plans account for the same node total as delta plans.
-Status AppendDedicated(const AdvisorOutput& advised, GroupId* next_id,
-                       DeploymentPlan* plan) {
-  for (size_t e = 0; e < advised.excluded_tenants.size(); ++e) {
-    const TenantSpec& excluded = advised.excluded_tenants[e];
-    GroupDeployment dedicated;
-    dedicated.group_id = (*next_id)++;
-    dedicated.tenants.push_back(excluded);
-    dedicated.member_activity_baseline.push_back(
-        advised.excluded_active_ratios[e]);
-    THRIFTY_ASSIGN_OR_RETURN(
-        dedicated.cluster,
-        DesignGroupCluster(excluded.requested_nodes, excluded.requested_nodes,
-                           plan->replication_factor));
-    plan->groups.push_back(std::move(dedicated));
-  }
-  return Status::OK();
+  return MakeRegisterEvent(time, workload.tenants[index], std::move(entries));
 }
 
-/// Deterministic membership stream of a plan: group ids with their sorted
-/// member tenant ids and node counts, in group-id order (now the shared
-/// canonical form in placement/deployment_plan.h; format unchanged, so the
-/// committed fingerprints still compare).
-std::string PlanStream(const DeploymentPlan& plan) {
-  return CanonicalMembershipStream(plan);
+StreamingServiceOptions SoakServiceOptions(const Workload& workload,
+                                       int solver_jobs) {
+  StreamingServiceOptions options;  // R=3, P=99.9%, E=10s
+  options.reconsolidation.advisor.solver_jobs = solver_jobs;
+  // Per-tenant active ratios in this workload sit around 1-2%; a drift
+  // (log thinning) halves a tenant's ratio, moving it by ~0.005-0.01.
+  options.reconsolidation.activity_delta_threshold = 0.003;
+  options.history_end = workload.horizon_end;
+  return options;
+}
+
+/// The schedule only produces valid events, so a rejection is a bug.
+void Ingest(StreamingService* service, TenantEvent event) {
+  Status status = service->Ingest(std::move(event));
+  if (!status.ok()) throw std::runtime_error(status.ToString());
+}
+
+/// Runs one service cycle; returns its wall time (planner solve plus the
+/// service's history copy and plan bookkeeping).
+double TimedCycle(StreamingService* service, SimTime time) {
+  auto start = std::chrono::steady_clock::now();
+  Ingest(service, MakeCycleMarkEvent(time));
+  return bench::Seconds(start);
 }
 
 bool CoversExactly(const DeploymentPlan& plan,
@@ -198,120 +148,6 @@ bool CoversExactly(const DeploymentPlan& plan,
     if (seen[spec.id] != 1) return false;
   }
   return true;
-}
-
-struct CycleStats {
-  size_t registered = 0;
-  size_t untouched = 0;
-  size_t resolved = 0;
-  size_t drifted = 0;
-  size_t absorbers = 0;
-  size_t repaired = 0;
-  size_t evicted = 0;
-  size_t missing = 0;
-  double effectiveness = 0;
-  double seconds = 0;
-  bool covers = true;
-};
-
-struct SoakResult {
-  std::vector<CycleStats> cycles;
-  uint64_t fingerprint = 0;
-  double total_seconds = 0;
-};
-
-/// Replays the schedule with the delta planner (warm-started, drift
-/// screened); the plan produced by each cycle is the next cycle's input.
-SoakResult RunDelta(const Workload& workload, const SoakScenario& scenario,
-                    const std::vector<CycleChurn>& schedule,
-                    const DeploymentPlan& initial_plan,
-                    const AdvisorOptions& base, int solver_jobs) {
-  SoakState state(workload, scenario.initial_tenants);
-  DeploymentPlan plan = initial_plan;
-
-  ReconsolidationOptions options;
-  options.advisor = base;
-  options.advisor.solver_jobs = solver_jobs;
-  // Per-tenant active ratios in this workload sit around 1-2%; a drift
-  // (log thinning) halves a tenant's ratio, moving it by ~0.005-0.01.
-  options.activity_delta_threshold = 0.003;
-  ReconsolidationPlanner planner(options);
-
-  SoakResult result;
-  std::string stream;
-  for (const CycleChurn& churn : schedule) {
-    state.Apply(workload, churn);
-
-    ReconsolidationInput input;
-    input.current_plan = std::move(plan);
-    for (size_t index : churn.registered) {
-      input.new_tenants.push_back(workload.tenants[index]);
-    }
-    for (size_t index : churn.deregistered) {
-      input.deregistered.insert(workload.tenants[index].id);
-    }
-
-    auto start = std::chrono::steady_clock::now();
-    auto output =
-        planner.Plan(input, state.history, 0, workload.horizon_end);
-    const double seconds = bench::Seconds(start);
-    if (!output.ok()) throw std::runtime_error(output.status().ToString());
-    plan = std::move(output->plan);
-
-    CycleStats stats;
-    stats.registered = state.registered.size();
-    stats.untouched = output->untouched_groups.size();
-    stats.resolved = output->resolved_groups.size();
-    stats.drifted = output->drifted_groups;
-    stats.absorbers = output->absorber_groups;
-    stats.repaired = output->grouping.warm_groups_repaired;
-    stats.evicted = output->grouping.warm_members_evicted;
-    stats.missing = output->grouping.warm_members_missing;
-    stats.effectiveness = plan.ConsolidationEffectiveness();
-    stats.seconds = seconds;
-    stats.covers = CoversExactly(plan, state.RegisteredSpecs(workload));
-    result.total_seconds += stats.seconds;
-    result.cycles.push_back(stats);
-    stream += PlanStream(plan);
-  }
-  result.fingerprint = Fnv1a64(stream);
-  return result;
-}
-
-/// Replays the schedule with a cold full Advise over the entire registered
-/// population each cycle (no previous plan, no warm start).
-SoakResult RunCold(const Workload& workload, const SoakScenario& scenario,
-                   const std::vector<CycleChurn>& schedule,
-                   const AdvisorOptions& base, int solver_jobs) {
-  SoakState state(workload, scenario.initial_tenants);
-  AdvisorOptions options = base;
-  options.solver_jobs = solver_jobs;
-  DeploymentAdvisor advisor(options);
-
-  SoakResult result;
-  for (const CycleChurn& churn : schedule) {
-    state.Apply(workload, churn);
-    std::vector<TenantSpec> specs = state.RegisteredSpecs(workload);
-
-    auto start = std::chrono::steady_clock::now();
-    auto advised = advisor.Advise(specs, state.history, 0,
-                                  workload.horizon_end);
-    const double seconds = bench::Seconds(start);
-    if (!advised.ok()) throw std::runtime_error(advised.status().ToString());
-    DeploymentPlan plan = std::move(advised->plan);
-    GroupId next_id = static_cast<GroupId>(plan.groups.size());
-    auto status = AppendDedicated(*advised, &next_id, &plan);
-    if (!status.ok()) throw std::runtime_error(status.ToString());
-
-    CycleStats stats;
-    stats.registered = state.registered.size();
-    stats.effectiveness = plan.ConsolidationEffectiveness();
-    stats.seconds = seconds;
-    stats.covers = CoversExactly(plan, specs);
-    result.total_seconds += stats.seconds;
-    result.cycles.push_back(stats);
-  }
-  return result;
 }
 
 }  // namespace
@@ -360,103 +196,131 @@ int main(int argc, char** argv) {
 
   const std::vector<CycleChurn> schedule = BuildSchedule(scenario,
                                                          options.seed);
+  const StreamingServiceOptions service_options =
+      SoakServiceOptions(workload, options.solver_jobs);
 
-  // Initial deployment: advise the starting population once; every pass
-  // starts from this same plan (advisor output is solver-jobs-invariant).
-  AdvisorOptions base;  // R=3, P=99.9%, E=10s
-  DeploymentPlan initial_plan;
-  {
-    SoakState initial(workload, scenario.initial_tenants);
-    AdvisorOptions advisor_options = base;
-    advisor_options.solver_jobs = options.solver_jobs;
-    DeploymentAdvisor advisor(advisor_options);
-    auto advised = advisor.Advise(initial.RegisteredSpecs(workload),
-                                  initial.history, 0, workload.horizon_end);
-    if (!advised.ok()) {
-      std::cerr << "initial Advise failed: " << advised.status().ToString()
-                << "\n";
-      return 1;
-    }
-    initial_plan = std::move(advised->plan);
-    GroupId next_id = static_cast<GroupId>(initial_plan.groups.size());
-    if (!AppendDedicated(*advised, &next_id, &initial_plan).ok()) return 1;
+  // Initial deployment: cycle 0 of the live service over the starting
+  // population (the delta cycles below start from its plan).
+  StreamingService live(service_options);
+  for (size_t i = 0; i < static_cast<size_t>(scenario.initial_tenants); ++i) {
+    Ingest(&live, RegisterEvent(workload, i, 0));
   }
+  Ingest(&live, MakeCycleMarkEvent(0));
 
-  // Delta pass at each solver-jobs value; the first is the canonical one
-  // for stats and timing, the others exist to assert determinism.
-  const int jobs_values[] = {1, 2, 4};
-  std::vector<SoakResult> delta_runs;
-  for (int jobs : jobs_values) {
-    delta_runs.push_back(RunDelta(workload, scenario, schedule, initial_plan,
-                                  base, jobs));
-  }
-  const SoakResult& delta = delta_runs[0];
-  SoakResult cold = RunCold(workload, scenario, schedule, base,
-                            options.solver_jobs);
-
-  bool deterministic = true;
-  for (const SoakResult& run : delta_runs) {
-    if (run.fingerprint != delta.fingerprint) deterministic = false;
-  }
   bool covers = true;
   bool effectiveness_ok = true;
+  double delta_total = 0;
+  double cold_total = 0;
+  std::string plan_stream;
 
   TablePrinter table({"cycle", "tenants", "untouched", "re-solved",
                       "drifted", "absorbers", "repaired", "evicted",
                       "missing", "delta eff", "cold eff"});
   TablePrinter timings({"cycle", "delta (s)", "cold (s)", "speedup"});
-  for (size_t c = 0; c < delta.cycles.size(); ++c) {
-    const CycleStats& d = delta.cycles[c];
-    const CycleStats& k = cold.cycles[c];
-    double delta_pp = (d.effectiveness - k.effectiveness) * 100;
+  for (size_t c = 0; c < schedule.size(); ++c) {
+    const CycleChurn& churn = schedule[c];
+    const SimTime time = static_cast<SimTime>(c + 1);
+    for (size_t index : churn.deregistered) {
+      Ingest(&live, MakeDeregisterEvent(time, workload.tenants[index].id));
+    }
+    for (size_t index : churn.registered) {
+      Ingest(&live, RegisterEvent(workload, index, time));
+    }
+    for (size_t index : churn.drifted) {
+      Ingest(&live,
+             MakeActivityDriftEvent(time, workload.tenants[index].id, 2));
+    }
+    const double delta_seconds = TimedCycle(&live, time);
+    const CycleDecision& d = live.decisions().back();
+    const std::vector<TenantSpec> specs = live.RegisteredSpecs();
+    const double delta_eff = live.current_plan().ConsolidationEffectiveness();
+    plan_stream += CanonicalMembershipStream(live.current_plan());
+
+    // Cold: a fresh service on-boards the same population with the same
+    // (drift-thinned) history and solves it from an empty plan. Between
+    // cycles the registered specs and the history are both id-ordered over
+    // the same tenants.
+    StreamingService cold(service_options);
+    std::vector<TenantLog> history = live.CurrentHistory();
+    for (size_t i = 0; i < specs.size(); ++i) {
+      Ingest(&cold,
+             MakeRegisterEvent(time, specs[i], std::move(history[i].entries)));
+    }
+    const double cold_seconds = TimedCycle(&cold, time);
+    const double cold_eff = cold.current_plan().ConsolidationEffectiveness();
+
+    const double delta_pp = (delta_eff - cold_eff) * 100;
     if (std::abs(delta_pp) > 1.0) effectiveness_ok = false;
-    if (!d.covers || !k.covers) covers = false;
-    table.AddRow({std::to_string(c + 1), std::to_string(d.registered),
-                  std::to_string(d.untouched), std::to_string(d.resolved),
-                  std::to_string(d.drifted), std::to_string(d.absorbers),
-                  std::to_string(d.repaired), std::to_string(d.evicted),
-                  std::to_string(d.missing),
-                  FormatPercent(d.effectiveness, 2),
-                  FormatPercent(k.effectiveness, 2)});
-    timings.AddRow({std::to_string(c + 1), FormatDouble(d.seconds, 3),
-                    FormatDouble(k.seconds, 3),
-                    FormatDouble(k.seconds / std::max(d.seconds, 1e-9), 1)});
-    report.AddMetric("delta_solve_seconds_c" + std::to_string(c + 1),
-                     d.seconds);
-    report.AddMetric("cold_solve_seconds_c" + std::to_string(c + 1),
-                     k.seconds);
-    report.AddMetric("delta_effectiveness_c" + std::to_string(c + 1),
-                     d.effectiveness);
-    report.AddMetric("cold_effectiveness_c" + std::to_string(c + 1),
-                     k.effectiveness);
-    report.AddMetric("eff_delta_pp_c" + std::to_string(c + 1), delta_pp);
+    if (!CoversExactly(live.current_plan(), specs) ||
+        !CoversExactly(cold.current_plan(), specs)) {
+      covers = false;
+    }
+    delta_total += delta_seconds;
+    cold_total += cold_seconds;
+
+    const std::string n = std::to_string(c + 1);
+    table.AddRow({n, std::to_string(specs.size()),
+                  std::to_string(d.untouched_groups.size()),
+                  std::to_string(d.resolved_groups.size()),
+                  std::to_string(d.drifted_groups),
+                  std::to_string(d.absorber_groups),
+                  std::to_string(d.warm_groups_repaired),
+                  std::to_string(d.warm_members_evicted),
+                  std::to_string(d.warm_members_missing),
+                  FormatPercent(delta_eff, 2), FormatPercent(cold_eff, 2)});
+    timings.AddRow({n, FormatDouble(delta_seconds, 3),
+                    FormatDouble(cold_seconds, 3),
+                    FormatDouble(cold_seconds / std::max(delta_seconds, 1e-9),
+                                 1)});
+    report.AddMetric("delta_solve_seconds_c" + n, delta_seconds);
+    report.AddMetric("cold_solve_seconds_c" + n, cold_seconds);
+    report.AddMetric("delta_effectiveness_c" + n, delta_eff);
+    report.AddMetric("cold_effectiveness_c" + n, cold_eff);
+    report.AddMetric("eff_delta_pp_c" + n, delta_pp);
   }
+
+  // Determinism: the recorded log replayed at each solver parallelism must
+  // reproduce every cycle decision (plan fingerprints included).
+  const std::string log = live.EncodeLog();
+  bool deterministic = true;
+  for (int jobs : {1, 2, 4}) {
+    auto replay =
+        StreamingService::Replay(log, SoakServiceOptions(workload, jobs));
+    if (!replay.ok()) {
+      std::cout << "replay (solver-jobs=" << jobs
+                << ") failed: " << replay.status() << "\n";
+      deterministic = false;
+    } else if (replay->DecisionFingerprint() != live.DecisionFingerprint()) {
+      deterministic = false;
+    }
+  }
+
   table.Print(std::cout);
-  std::cout << "\nPlanner wall-clock (non-deterministic, excluded from the "
-               "fingerprint):\n";
+  std::cout << "\nService cycle wall-clock (non-deterministic, excluded from "
+               "the fingerprint):\n";
   timings.Print(std::cout);
 
-  double speedup = cold.total_seconds / std::max(delta.total_seconds, 1e-9);
+  double speedup = cold_total / std::max(delta_total, 1e-9);
   bool speed_ok = smoke || speedup >= 10.0;
-  std::cout << "\nTotal: delta " << FormatDouble(delta.total_seconds, 3)
-            << " s vs cold " << FormatDouble(cold.total_seconds, 3)
-            << " s -> " << FormatDouble(speedup, 1) << "x"
+  std::cout << "\nTotal: delta " << FormatDouble(delta_total, 3)
+            << " s vs cold " << FormatDouble(cold_total, 3) << " s -> "
+            << FormatDouble(speedup, 1) << "x"
             << (smoke ? " (not gated in --smoke)" : " (gate: >= 10x)")
             << "\n";
-  const std::string fp = Hex64(delta.fingerprint);
+  const std::string fp = Hex64(Fnv1a64(plan_stream));
   std::cout << "Delta plan fingerprint: " << fp
-            << (deterministic ? " (identical at solver-jobs 1/2/4)"
+            << (deterministic ? " (replay identical at solver-jobs 1/2/4)"
                               : " (MISMATCH across solver-jobs!)")
             << "\n";
 
   report.SetResultsTable(table);
   report.AddText("delta_plan_fnv1a", fp);
-  report.AddMetric("delta_solve_seconds_total", delta.total_seconds);
-  report.AddMetric("cold_solve_seconds_total", cold.total_seconds);
+  report.AddMetric("delta_solve_seconds_total", delta_total);
+  report.AddMetric("cold_solve_seconds_total", cold_total);
   report.AddMetric("delta_speedup_x", speedup);
   std::cout << "\n";
   report.Gate("determinism_check_passed", deterministic,
-              "delta plan identical at solver-jobs 1/2/4");
+              "delta decisions replay identically at solver-jobs 1/2/4");
   report.Gate("coverage_check_passed", covers,
               "every registered tenant placed exactly once");
   report.Gate("effectiveness_check_passed", effectiveness_ok,

@@ -101,13 +101,6 @@ bool IsHex64(const std::string& text) {
          });
 }
 
-std::string Hex64(uint64_t value) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
-
 BenchFlag FingerprintPins::Flag(std::string help) {
   return BenchFlag{flag, std::move(help),
                    [this](const std::string& value) {

@@ -81,9 +81,6 @@ bool ParseIntAtLeast(const std::string& text, int min, int* out);
 /// \brief True if `text` is exactly 16 hex digits (a Hex64 fingerprint).
 bool IsHex64(const std::string& text);
 
-/// \brief Formats a 64-bit fingerprint as 16 lowercase hex digits.
-std::string Hex64(uint64_t value);
-
 /// \brief Fingerprints pinned by one flag carrying `names.size()`
 /// comma-separated Hex64 values (e.g. --expect=W,T,E), checked with
 /// BenchReport::GatePins.

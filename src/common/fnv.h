@@ -9,6 +9,7 @@
 #define THRIFTY_COMMON_FNV_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 namespace thrifty {
@@ -24,6 +25,18 @@ inline uint64_t Fnv1a64(std::string_view bytes,
     hash *= kFnv1a64Prime;
   }
   return hash;
+}
+
+/// \brief Formats a 64-bit fingerprint as 16 lowercase hex digits — the
+/// one printed form of every fingerprint.
+inline std::string Hex64(uint64_t value) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i) {
+    out[static_cast<size_t>(i)] = kDigits[value & 0xf];
+    value >>= 4;
+  }
+  return out;
 }
 
 }  // namespace thrifty

@@ -5,12 +5,10 @@
 #include <cstring>
 #include <new>
 
-// THRIFTY_SIMD_FORCE_SCALAR (the CMake option THRIFTY_FORCE_SCALAR=ON)
-// compiles the vector paths out entirely; the env var of the same name
-// forces scalar at runtime. Vector paths are built with per-function
-// target attributes so the rest of the translation unit (and the whole
-// project) keeps the portable baseline flags.
-#if !defined(THRIFTY_SIMD_FORCE_SCALAR)
+// The THRIFTY_FORCE_SCALAR environment variable forces scalar at runtime.
+// Vector paths are built with per-function target attributes so the rest
+// of the translation unit (and the whole project) keeps the portable
+// baseline flags.
 // x86-64 only (the per-lane delta accumulation assumes 64-bit size_t).
 #if defined(__x86_64__)
 #define THRIFTY_SIMD_X86 1
@@ -19,7 +17,6 @@
 #if defined(__aarch64__)
 #define THRIFTY_SIMD_NEON 1
 #include <arm_neon.h>
-#endif
 #endif
 
 namespace thrifty {

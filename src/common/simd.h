@@ -32,8 +32,6 @@
 // Dispatch control:
 //   * runtime: set THRIFTY_FORCE_SCALAR=1 in the environment to pin the
 //     scalar reference regardless of CPU support (read once, at first use).
-//   * compile time: configure with -DTHRIFTY_FORCE_SCALAR=ON to compile the
-//     vector paths out entirely.
 //   * tests: SetSimdTargetForTest overrides dispatch in-process (never
 //     upward — a target the CPU lacks is clamped to scalar).
 

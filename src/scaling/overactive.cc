@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "activity/level_set.h"
 #include "placement/two_step.h"
 
 namespace thrifty {
@@ -20,52 +19,22 @@ Result<std::vector<TenantId>> IdentifyOveractiveTenants(
     }
   }
 
-  // Algorithm 2's second step, building a single group.
-  std::vector<const ActivityVector*> remaining;
-  for (const auto& a : member_activity) remaining.push_back(&a);
-  std::sort(remaining.begin(), remaining.end(),
-            [](const ActivityVector* a, const ActivityVector* b) {
-              if (a->ActiveEpochs() != b->ActiveEpochs()) {
-                return a->ActiveEpochs() < b->ActiveEpochs();
-              }
-              return a->tenant_id() < b->tenant_id();
-            });
-
-  GroupLevelSet levels(num_epochs);
-  levels.Add(*remaining.front());
-  remaining.erase(remaining.begin());
-
-  while (!remaining.empty()) {
-    size_t best_index = 0;
-    std::vector<size_t> best_pops;
-    for (size_t i = 0; i < remaining.size(); ++i) {
-      std::vector<size_t> pops = levels.EvaluateAdd(*remaining[i]);
-      if (best_pops.empty()) {
-        best_pops = std::move(pops);
-        best_index = i;
-        continue;
-      }
-      int cmp = CompareCandidateLevels(pops, best_pops);
-      bool better = cmp < 0 || (cmp == 0 && remaining[i]->tenant_id() >
-                                                remaining[best_index]
-                                                    ->tenant_id());
-      if (better) {
-        best_pops = std::move(pops);
-        best_index = i;
-      }
-    }
-    if (levels.TtpFromPopcounts(best_pops, replication_factor) + 1e-12 <
-        sla_fraction) {
-      break;  // everyone left is over-active
-    }
-    levels.Add(*remaining[best_index]);
-    remaining.erase(remaining.begin() + static_cast<ptrdiff_t>(best_index));
+  // Algorithm 2 over one size class: the first tenant-group it grows is
+  // seeded with the least active member and closes where the next-best
+  // addition would drop TTP below P; everyone left out is over-active.
+  PackingProblem problem;
+  problem.replication_factor = replication_factor;
+  problem.sla_fraction = sla_fraction;
+  problem.num_epochs = num_epochs;
+  for (const auto& a : member_activity) {
+    problem.items.push_back({a.tenant_id(), 1, &a});
   }
+  THRIFTY_ASSIGN_OR_RETURN(GroupingSolution solution, SolveTwoStep(problem));
 
   std::vector<TenantId> overactive;
-  overactive.reserve(remaining.size());
-  for (const ActivityVector* a : remaining) {
-    overactive.push_back(a->tenant_id());
+  for (size_t g = 1; g < solution.groups.size(); ++g) {
+    const auto& ids = solution.groups[g].tenant_ids;
+    overactive.insert(overactive.end(), ids.begin(), ids.end());
   }
   std::sort(overactive.begin(), overactive.end());
   return overactive;

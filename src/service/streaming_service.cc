@@ -11,16 +11,6 @@ namespace thrifty {
 
 namespace {
 
-std::string HexU64(uint64_t v) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[i] = kDigits[v & 0xf];
-    v >>= 4;
-  }
-  return out;
-}
-
 void AppendIdList(const char* tag, const std::vector<GroupId>& ids,
                   std::string* out) {
   *out += tag;
@@ -73,9 +63,9 @@ std::string CycleDecisionStream(const CycleDecision& decision) {
   out += 'e';
   out += std::to_string(decision.events_consumed);
   out += 'P';
-  out += HexU64(std::bit_cast<uint64_t>(decision.sla_fraction));
+  out += Hex64(std::bit_cast<uint64_t>(decision.sla_fraction));
   out += 'f';
-  out += HexU64(decision.plan_fingerprint);
+  out += Hex64(decision.plan_fingerprint);
   AppendIdList("r", decision.resolved_groups, &out);
   AppendIdList("u", decision.untouched_groups, &out);
   AppendIdList("d", decision.dissolved_groups, &out);
@@ -263,6 +253,11 @@ Status StreamingService::RunCycle(const TenantEvent& mark) {
   decision.untouched_groups = output.untouched_groups;
   std::sort(decision.untouched_groups.begin(),
             decision.untouched_groups.end());
+  decision.drifted_groups = output.drifted_groups;
+  decision.absorber_groups = output.absorber_groups;
+  decision.warm_groups_repaired = output.grouping.warm_groups_repaired;
+  decision.warm_members_evicted = output.grouping.warm_members_evicted;
+  decision.warm_members_missing = output.grouping.warm_members_missing;
   decision.dissolved_groups = std::move(dissolved);
   decision.created_groups = std::move(created);
   decision.solve_wall_ms = output.grouping.solve_seconds * 1000.0;

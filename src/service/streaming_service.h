@@ -97,7 +97,8 @@ struct StreamingServiceOptions {
 };
 
 /// \brief What one re-consolidation cycle decided. Wall times are
-/// measurements, not decisions — they are excluded from the fingerprint.
+/// measurements and the planner counters are derived accounting, not
+/// decisions — both are excluded from the fingerprint.
 struct CycleDecision {
   /// 0-based cycle index.
   uint64_t cycle = 0;
@@ -112,6 +113,14 @@ struct CycleDecision {
   /// Input-plan groups re-solved / carried over (planner accounting).
   std::vector<GroupId> resolved_groups;
   std::vector<GroupId> untouched_groups;
+  /// Planner accounting (ReconsolidationOutput): resolved groups triggered
+  /// by activity drift / opened as absorbers, and the re-solve's warm-start
+  /// repair counts. NOT fingerprinted.
+  size_t drifted_groups = 0;
+  size_t absorber_groups = 0;
+  size_t warm_groups_repaired = 0;
+  size_t warm_members_evicted = 0;
+  size_t warm_members_missing = 0;
   /// Plan delta actually applied: groups torn down / newly deployed.
   std::vector<GroupId> dissolved_groups;
   std::vector<GroupId> created_groups;

@@ -255,6 +255,57 @@ TEST(StreamingServiceTest, SolverJobsDoNotChangeDecisions) {
   EXPECT_EQ(fingerprints[0], fingerprints[2]);
 }
 
+TEST(StreamingServiceTest, DecisionCarriesPlannerAccounting) {
+  const StreamingServiceOptions options = SmallOptions();
+  StreamingService service(options);
+  std::vector<TenantSpec> specs;
+  for (TenantId id = 0; id < 60; ++id) specs.push_back(MakeTenant(id, 2));
+  ASSERT_TRUE(RegisterTenants(&service, 0, specs).ok());
+  ASSERT_TRUE(service.Ingest(MakeCycleMarkEvent(kHour)).ok());
+  ASSERT_GT(service.current_plan().groups.size(), 4u);
+
+  // Cycle 1: a stride-2 drift halves tenant 20's ~1/60 active ratio (well
+  // past the 0.003 threshold) and tenants 11 and 12, grouped apart from it,
+  // leave, so the re-solve sees one drift trigger, absorbers from the same
+  // size class, and a seed with two stale members.
+  ReconsolidationInput input;
+  input.current_plan = service.current_plan();
+  input.deregistered = {11, 12};
+  ASSERT_TRUE(service.Ingest(MakeActivityDriftEvent(kHour + 1, 20, 2)).ok());
+  ASSERT_TRUE(service.Ingest(MakeDeregisterEvent(kHour + 2, 11)).ok());
+  ASSERT_TRUE(service.Ingest(MakeDeregisterEvent(kHour + 2, 12)).ok());
+  const std::vector<TenantLog> history = service.CurrentHistory();
+  ASSERT_TRUE(service.Ingest(MakeCycleMarkEvent(2 * kHour)).ok());
+  const CycleDecision& decision = service.decisions().back();
+
+  ReconsolidationOptions planner_options = options.reconsolidation;
+  planner_options.advisor.sla_fraction = decision.sla_fraction;
+  auto expected = ReconsolidationPlanner(planner_options)
+                      .Plan(input, history, options.history_begin,
+                            options.history_end);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(decision.plan_fingerprint, PlanFingerprint(expected->plan));
+  EXPECT_EQ(decision.drifted_groups, 1u);
+  EXPECT_GT(decision.absorber_groups, 1u);
+  EXPECT_EQ(decision.drifted_groups, expected->drifted_groups);
+  EXPECT_EQ(decision.absorber_groups, expected->absorber_groups);
+  EXPECT_EQ(decision.warm_groups_repaired,
+            expected->grouping.warm_groups_repaired);
+  EXPECT_EQ(decision.warm_members_evicted,
+            expected->grouping.warm_members_evicted);
+  EXPECT_EQ(decision.warm_members_missing,
+            expected->grouping.warm_members_missing);
+
+  // The accounting is not part of the decision's canonical stream.
+  CycleDecision altered = decision;
+  altered.drifted_groups += 1;
+  altered.absorber_groups += 2;
+  altered.warm_groups_repaired += 3;
+  altered.warm_members_evicted += 4;
+  altered.warm_members_missing += 5;
+  EXPECT_EQ(CycleDecisionStream(altered), CycleDecisionStream(decision));
+}
+
 TEST(StreamingServiceTest, TickRequiresClock) {
   StreamingService service(SmallOptions());
   auto ran = service.Tick();
