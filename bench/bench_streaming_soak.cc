@@ -30,30 +30,6 @@
 #include "bench_util.h"
 #include "soak/soak_harness.h"
 
-namespace {
-
-/// True when `replay` reproduces every fingerprint surface of `live`.
-bool OutcomesMatch(const thrifty::soak::SoakOutcome& live,
-                   const thrifty::soak::SoakOutcome& replay) {
-  if (replay.encoded_log != live.encoded_log) return false;
-  if (replay.event_log_fingerprint != live.event_log_fingerprint)
-    return false;
-  if (replay.decision_fingerprint != live.decision_fingerprint) return false;
-  if (replay.controller_fingerprint != live.controller_fingerprint)
-    return false;
-  if (replay.min_sla_fraction != live.min_sla_fraction) return false;
-  if (replay.decisions.size() != live.decisions.size()) return false;
-  for (size_t i = 0; i < live.decisions.size(); ++i) {
-    if (replay.decisions[i].plan_fingerprint !=
-        live.decisions[i].plan_fingerprint) {
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace thrifty;
   using namespace thrifty::bench;
@@ -95,27 +71,12 @@ int main(int argc, char** argv) {
 
   // Replay the recorded log at each solver parallelism; any fingerprint
   // drift is a determinism bug.
-  bool replay_identical = true;
-  std::vector<double> replay_seconds;
   const std::vector<int> jobs_values = {1, 2, 4};
-  for (int jobs : jobs_values) {
-    soak::SoakConfig replay_config = config;
-    replay_config.solver_jobs = jobs;
-    const double start = report.ElapsedSeconds();
-    auto replay = soak::ReplaySoak(replay_config, live->encoded_log);
-    replay_seconds.push_back(report.ElapsedSeconds() - start);
-    if (!replay.ok()) {
-      std::cout << "replay (solver-jobs=" << jobs
-                << ") failed: " << replay.status() << "\n";
-      replay_identical = false;
-      continue;
-    }
-    if (!OutcomesMatch(*live, *replay)) {
-      std::cout << "replay (solver-jobs=" << jobs
-                << ") diverged from the live run\n";
-      replay_identical = false;
-    }
-  }
+  std::vector<double> replay_seconds;
+  const Status replays =
+      soak::CheckReplays(config, *live, jobs_values, &replay_seconds);
+  const bool replay_identical = replays.ok();
+  if (!replay_identical) std::cout << replays << "\n";
 
   // Controller band: P inside the clamp band every cycle; observed
   // violation rate within the steering band once feedback flows.
@@ -203,7 +164,7 @@ int main(int argc, char** argv) {
   report.AddMetric("event_log_bytes",
                    static_cast<double>(live->encoded_log.size()));
   report.AddMetric("min_sla_fraction", live->min_sla_fraction);
-  for (size_t i = 0; i < jobs_values.size(); ++i) {
+  for (size_t i = 0; i < replay_seconds.size(); ++i) {
     report.AddMetric("replay_seconds_jobs" + std::to_string(jobs_values[i]),
                      replay_seconds[i]);
   }

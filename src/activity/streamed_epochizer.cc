@@ -77,15 +77,6 @@ bool StreamedEpochizer::Next(uint32_t* word_index, uint64_t* word_bits) {
   }
 }
 
-void ForEachActivityWord(const IntervalSet& intervals,
-                         const EpochConfig& epochs,
-                         const std::function<void(uint32_t, uint64_t)>& fn) {
-  StreamedEpochizer stream(intervals, epochs);
-  uint32_t index;
-  uint64_t bits;
-  while (stream.Next(&index, &bits)) fn(index, bits);
-}
-
 void EpochizeGauge::Acquire(size_t bytes) {
   size_t now =
       current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;

@@ -31,7 +31,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 
 #include "activity/activity_vector.h"
 #include "activity/epoch.h"
@@ -72,12 +71,6 @@ class StreamedEpochizer {
   uint32_t range_word_ = 0;
   uint32_t range_last_word_ = 0;
 };
-
-/// \brief Invokes `fn(word_index, word_bits)` for every nonzero activity
-/// word of `intervals` on the `epochs` grid, in ascending word order.
-void ForEachActivityWord(const IntervalSet& intervals,
-                         const EpochConfig& epochs,
-                         const std::function<void(uint32_t, uint64_t)>& fn);
 
 /// \brief High-water byte gauge for the epochization stage.
 ///

@@ -64,6 +64,9 @@ struct QueryOutcome {
 struct ServiceMetrics {
   size_t completed = 0;
   size_t sla_met = 0;
+  /// Replayed queries whose submission failed (e.g. no MPPDB of the
+  /// tenant's group was online); the replay skips them and goes on.
+  size_t failed_submits = 0;
   /// Distribution of normalized performance (1.0 = dedicated speed).
   Histogram normalized_performance{0.01, 1.02};
 
@@ -98,7 +101,9 @@ class ThriftyService {
   Result<InstanceId> SubmitQuery(TenantId tenant, TemplateId template_id);
 
   /// \brief Replays tenant logs through the service: each log entry's query
-  /// is submitted at its logged time (entries before now are skipped).
+  /// is submitted at its logged time (entries before now are skipped). A
+  /// submission that fails is counted in ServiceMetrics::failed_submits
+  /// and the replay continues with the tenant's next entry.
   ///
   /// Replay is scheduled lazily (one pending event per tenant), so large
   /// logs do not bloat the event queue.

@@ -312,42 +312,33 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
     return solution;
   }
 
-  // Per-shard solves, fanned as min(num_shards option, #shards) contiguous
-  // batches. Results land in per-shard slots and are merged in shard order,
-  // so batching and scheduling never reach the output.
+  // Per-shard solves, one ParallelFor task per logical shard. Results land
+  // in per-shard slots and are merged in shard order, so scheduling never
+  // reaches the output.
   const auto solve_start = std::chrono::steady_clock::now();
   const int shard_jobs = std::max(1, options.shard_jobs);
-  size_t num_batches =
-      options.num_shards <= 0
-          ? num_shards
-          : std::min<size_t>(static_cast<size_t>(options.num_shards),
-                             num_shards);
   std::unique_ptr<ThreadPool> pool;
   if (shard_jobs > 1) {
     pool = std::make_unique<ThreadPool>(shard_jobs - 1);
   }
   std::vector<GroupingSolution> shard_solutions(num_shards);
   std::vector<Status> shard_statuses(num_shards, Status::OK());
-  ParallelFor(pool.get(), num_batches, [&](size_t batch) {
-    const size_t lo = batch * num_shards / num_batches;
-    const size_t hi = (batch + 1) * num_shards / num_batches;
-    for (size_t s = lo; s < hi; ++s) {
-      PackingProblem shard_problem;
-      shard_problem.replication_factor = problem.replication_factor;
-      shard_problem.sla_fraction = problem.sla_fraction;
-      shard_problem.num_epochs = problem.num_epochs;
-      shard_problem.items.reserve(partition[s].size());
-      for (size_t item_index : partition[s]) {
-        shard_problem.items.push_back(problem.items[item_index]);
-      }
-      TwoStepOptions shard_options;
-      shard_options.solver_jobs = options.solver_jobs;
-      auto solved = SolveTwoStep(shard_problem, shard_options);
-      if (solved.ok()) {
-        shard_solutions[s] = *std::move(solved);
-      } else {
-        shard_statuses[s] = solved.status();
-      }
+  ParallelFor(pool.get(), num_shards, [&](size_t s) {
+    PackingProblem shard_problem;
+    shard_problem.replication_factor = problem.replication_factor;
+    shard_problem.sla_fraction = problem.sla_fraction;
+    shard_problem.num_epochs = problem.num_epochs;
+    shard_problem.items.reserve(partition[s].size());
+    for (size_t item_index : partition[s]) {
+      shard_problem.items.push_back(problem.items[item_index]);
+    }
+    TwoStepOptions shard_options;
+    shard_options.solver_jobs = options.solver_jobs;
+    auto solved = SolveTwoStep(shard_problem, shard_options);
+    if (solved.ok()) {
+      shard_solutions[s] = *std::move(solved);
+    } else {
+      shard_statuses[s] = solved.status();
     }
   });
   for (const Status& status : shard_statuses) {

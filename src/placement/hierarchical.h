@@ -31,13 +31,13 @@
 //
 // Determinism contract: the logical shard partition is a pure function of
 // the tenant set (ids + activity + shard_tenant_target/signature_bands) —
-// never of num_shards, shard_jobs, or solver_jobs, which only change how
-// the same per-shard solves are batched across threads. Group output order
-// is canonical (size class descending, then shard-major, then the merge
+// never of shard_jobs or solver_jobs, which only change how the same
+// per-shard solves are spread across threads. Group output order is
+// canonical (size class descending, then shard-major, then the merge
 // pass's groups), and the merge pass is a function of the per-shard plans
-// alone, so the returned plan is byte-identical at any
-// num_shards x shard_jobs x solver_jobs. tests/hierarchical_test.cc locks
-// this, and bench_scale_sweep records the fingerprints.
+// alone, so the returned plan is byte-identical at any shard_jobs x
+// solver_jobs. tests/hierarchical_test.cc locks this, and bench_scale_sweep
+// records the fingerprints.
 
 #ifndef THRIFTY_PLACEMENT_HIERARCHICAL_H_
 #define THRIFTY_PLACEMENT_HIERARCHICAL_H_
@@ -55,14 +55,6 @@ namespace thrifty {
 /// merge_* change the plan (they define the logical partition and the merge
 /// rule, both pure functions of the tenant set).
 struct HierarchicalOptions {
-  /// Execution-batching hint: the logical shards are processed as
-  /// min(num_shards, #logical shards) parallel tasks, each draining a
-  /// contiguous run of shards in shard order. 0 (and any value >= the
-  /// logical shard count) = one task per shard. The *logical* partition is
-  /// computed from the tenant set alone, so this knob can never change the
-  /// plan — it exists to bound task-queue pressure and per-task scratch
-  /// residency when a million-tenant solve produces hundreds of shards.
-  int num_shards = 0;
   /// Worker threads fanning the shard solves (values < 1 clamp to 1, the
   /// serial path). Composes multiplicatively with solver_jobs.
   int shard_jobs = 1;
@@ -144,7 +136,7 @@ std::vector<std::vector<size_t>> ComputeShardPartition(
 /// \brief Solves the problem hierarchically (shard -> solve -> merge).
 ///
 /// The returned solution passes VerifySolution and is byte-identical for
-/// any num_shards/shard_jobs/solver_jobs. `stats`, when non-null, receives
+/// any shard_jobs/solver_jobs. `stats`, when non-null, receives
 /// phase accounting.
 Result<GroupingSolution> SolveHierarchical(
     const PackingProblem& problem,

@@ -1,7 +1,6 @@
 #include "workload/query_log.h"
 
 #include <algorithm>
-#include <bit>
 #include <istream>
 #include <map>
 #include <ostream>
@@ -10,7 +9,6 @@
 
 #include "activity/streamed_epochizer.h"
 #include "common/bitmap.h"
-#include "common/simd.h"
 
 namespace thrifty {
 
@@ -100,26 +98,19 @@ double ConditionalActiveTenantRatio(const std::vector<TenantLog>& logs,
                                     SimDuration epoch_size) {
   if (logs.empty() || end <= begin || epoch_size <= 0) return 0;
   EpochConfig epochs{epoch_size, begin, end};
-  // Each tenant counts once per epoch (its streamed nonzero words already
-  // merge intervals sharing an epoch); the busy-epoch set is the OR of all
+  // Each tenant counts once per epoch (its sparse words already merge
+  // intervals sharing an epoch); the busy-epoch set is the OR of all
   // tenants' words, so only one bit per epoch is ever materialized.
   DynamicBitmap busy_epochs(epochs.NumEpochs());
   uint64_t total = 0;
-  std::vector<uint32_t> word_idx;
-  std::vector<uint64_t> word_bits;
   for (const auto& log : logs) {
-    // Buffer the streamed words per tenant so the per-tenant popcount runs
-    // as one span kernel instead of word-at-a-time in the callback.
-    word_idx.clear();
-    word_bits.clear();
-    ForEachActivityWord(log.ActivityIntervals(), epochs,
-                        [&](uint32_t index, uint64_t bits) {
-                          word_idx.push_back(index);
-                          word_bits.push_back(bits);
-                        });
-    total += simd::SpanPopcount(word_bits.data(), word_bits.size());
-    for (size_t i = 0; i < word_idx.size(); ++i) {
-      busy_epochs.mutable_word(word_idx[i]) |= word_bits[i];
+    const ActivityVector vector =
+        EpochizeIntervals(log.tenant_id, log.ActivityIntervals(), epochs);
+    total += vector.ActiveEpochs();
+    const auto& word_indices = vector.word_indices();
+    const auto& word_bits = vector.word_bits();
+    for (size_t i = 0; i < word_indices.size(); ++i) {
+      busy_epochs.mutable_word(word_indices[i]) |= word_bits[i];
     }
   }
   size_t busy = busy_epochs.Popcount();

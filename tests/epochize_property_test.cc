@@ -1,11 +1,11 @@
 // Randomized equivalence harness for the streamed epochization engine:
-// StreamedEpochizer / ForEachActivityWord / EpochizeIntervals must produce
-// exactly the nonzero words of the dense discretization test oracle
-// (IntervalsToBitmap) over generated interval sets — word-boundary
-// straddles, zero-length and adjacent intervals, intervals touching
-// EpochConfig::end, and single-epoch grids included. Every randomized case
-// derives its generator from an id-keyed Rng fork, so a failure names the
-// case id and replays deterministically.
+// StreamedEpochizer and EpochizeIntervals must produce exactly the nonzero
+// words of the dense discretization test oracle (IntervalsToBitmap) over
+// generated interval sets — word-boundary straddles, zero-length and
+// adjacent intervals, intervals touching EpochConfig::end, and single-epoch
+// grids included. Every randomized case derives its generator from an
+// id-keyed Rng fork, so a failure names the case id and replays
+// deterministically.
 
 #include "activity/streamed_epochizer.h"
 
@@ -51,21 +51,11 @@ Words IteratorWords(const IntervalSet& set, const EpochConfig& epochs) {
   return words;
 }
 
-Words CallbackWords(const IntervalSet& set, const EpochConfig& epochs) {
-  Words words;
-  ForEachActivityWord(set, epochs, [&](uint32_t index, uint64_t bits) {
-    words.indices.push_back(index);
-    words.bits.push_back(bits);
-  });
-  return words;
-}
-
 /// Asserts the full streamed/dense contract for one (set, grid) pair.
 void ExpectStreamedMatchesDense(const IntervalSet& set,
                                 const EpochConfig& epochs) {
   const Words expected = DenseWords(set, epochs);
   EXPECT_EQ(IteratorWords(set, epochs), expected);
-  EXPECT_EQ(CallbackWords(set, epochs), expected);
 
   const ActivityVector streamed = EpochizeIntervals(7, set, epochs);
   const ActivityVector reference =

@@ -1,7 +1,7 @@
 // Hierarchical shard -> solve -> merge placement (placement/hierarchical.h):
 // the logical shard partition must be a pure function of the tenant set,
 // merged plans must verify, and the returned plan must be byte-identical
-// at every num_shards x shard_jobs x solver_jobs combination.
+// at every shard_jobs x solver_jobs combination.
 
 #include <algorithm>
 #include <vector>
@@ -80,7 +80,6 @@ TEST(HierarchicalTest, PartitionIsPureFunctionOfTenantSet) {
 
     // Parallelism knobs must not reach the partition.
     HierarchicalOptions parallel = options;
-    parallel.num_shards = 7;
     parallel.shard_jobs = 4;
     parallel.solver_jobs = 3;
     EXPECT_EQ(base, PartitionTenants(
@@ -123,17 +122,16 @@ TEST(HierarchicalTest, FingerprintIdenticalAcrossParallelism) {
   ASSERT_TRUE(base.ok());
   const uint64_t base_fp = GroupingFingerprint(*base);
 
-  for (int num_shards : {1, 4, 16}) {
+  for (int shard_jobs : {1, 2, 4}) {
     for (int solver_jobs : {1, 2, 4}) {
       HierarchicalOptions options = base_options;
-      options.num_shards = num_shards;
+      options.shard_jobs = shard_jobs;
       options.solver_jobs = solver_jobs;
-      options.shard_jobs = solver_jobs;  // exercise both fan-outs at once
       auto solution = SolveHierarchical(*problem, options);
       ASSERT_TRUE(solution.ok())
-          << "num_shards=" << num_shards << " solver_jobs=" << solver_jobs;
+          << "shard_jobs=" << shard_jobs << " solver_jobs=" << solver_jobs;
       EXPECT_EQ(base_fp, GroupingFingerprint(*solution))
-          << "num_shards=" << num_shards << " solver_jobs=" << solver_jobs;
+          << "shard_jobs=" << shard_jobs << " solver_jobs=" << solver_jobs;
     }
   }
 }
@@ -168,10 +166,9 @@ TEST(HierarchicalTest, DirectedEmptyAndSingleTenant) {
   Instance inst = RandomInstance(51, 1, 128);
   auto problem = MakePackingProblem(inst.tenants, inst.activities, 3, 0.99);
   ASSERT_TRUE(problem.ok());
-  // num_shards far beyond the single logical shard: the surplus batches
-  // are empty and must be harmless.
+  // More shard workers than logical shards: the idle workers must be
+  // harmless.
   HierarchicalOptions options;
-  options.num_shards = 16;
   options.shard_jobs = 4;
   HierarchicalStats stats;
   auto solution = SolveHierarchical(*problem, options, &stats);
@@ -226,14 +223,13 @@ TEST(HierarchicalTest, DirectedAllTenantsOneFingerprint) {
   auto base = SolveHierarchical(*problem, options);
   ASSERT_TRUE(base.ok());
   EXPECT_TRUE(VerifySolution(*problem, *base).ok());
-  for (int num_shards : {1, 4, 16}) {
-    HierarchicalOptions batched = options;
-    batched.num_shards = num_shards;
-    batched.shard_jobs = 2;
-    auto solution = SolveHierarchical(*problem, batched);
-    ASSERT_TRUE(solution.ok()) << "num_shards=" << num_shards;
+  for (int shard_jobs : {2, 4}) {
+    HierarchicalOptions parallel = options;
+    parallel.shard_jobs = shard_jobs;
+    auto solution = SolveHierarchical(*problem, parallel);
+    ASSERT_TRUE(solution.ok()) << "shard_jobs=" << shard_jobs;
     EXPECT_EQ(GroupingFingerprint(*base), GroupingFingerprint(*solution))
-        << "num_shards=" << num_shards;
+        << "shard_jobs=" << shard_jobs;
   }
 }
 
@@ -282,7 +278,6 @@ TEST(HierarchicalTest, ParallelismKnobsClampLikeTwoStep) {
   HierarchicalOptions clamped = base;
   clamped.shard_jobs = 0;
   clamped.solver_jobs = -2;
-  clamped.num_shards = -5;
   auto solution = SolveHierarchical(*problem, clamped);
   ASSERT_TRUE(solution.ok());
   EXPECT_EQ(GroupingFingerprint(*reference), GroupingFingerprint(*solution));

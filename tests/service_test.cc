@@ -140,6 +140,34 @@ TEST_F(ServiceTest, ReplayUnknownTenantRejected) {
   EXPECT_EQ(service.ScheduleLogReplay({log}).code(), StatusCode::kNotFound);
 }
 
+TEST_F(ServiceTest, ReplayCountsFailedSubmitsAndContinues) {
+  ThriftyService service = MakeService();
+  ASSERT_TRUE(service.Deploy(TwoGroupPlan()).ok());
+  // Every MPPDB of group 0 goes offline, so routing its tenants fails.
+  auto group0_router = service.router()->RouterForGroup(0);
+  ASSERT_TRUE(group0_router.ok());
+  for (MppdbInstance* m : (*group0_router)->mppdbs()) {
+    m->SetState(InstanceState::kStopped);
+  }
+  const TemplateId q6 = *catalog_.FindByName("TPCH-Q6");
+  std::vector<TenantLog> logs;
+  for (TenantId tenant : {1, 4}) {  // group 0, group 1
+    TenantLog log;
+    log.tenant_id = tenant;
+    for (int i = 0; i < 3; ++i) {
+      QueryLogEntry entry;
+      entry.submit_time = (i + 1) * 10 * kMinute;
+      entry.template_id = q6;
+      log.entries.push_back(entry);
+    }
+    logs.push_back(std::move(log));
+  }
+  ASSERT_TRUE(service.ScheduleLogReplay(std::move(logs)).ok());
+  engine_.Run();
+  EXPECT_EQ(service.metrics().failed_submits, 3u);
+  EXPECT_EQ(service.metrics().completed, 3u);
+}
+
 TEST_F(ServiceTest, ActivityMonitorSeesTransitions) {
   ThriftyService service = MakeService();
   ASSERT_TRUE(service.Deploy(TwoGroupPlan()).ok());

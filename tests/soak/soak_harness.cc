@@ -1,5 +1,7 @@
 #include "soak/soak_harness.h"
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 #include <unordered_set>
 #include <utility>
@@ -65,6 +67,92 @@ GroupId PickFailureGroup(const DeploymentPlan& plan) {
   return chosen;
 }
 
+double SecondsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+/// The harness invariant: `plan` places every tenant of `specs` (id order)
+/// exactly once and no one else.
+Status CheckExactlyOnce(const DeploymentPlan& plan,
+                        const std::vector<TenantSpec>& specs,
+                        const std::string& what) {
+  std::vector<TenantId> placed;
+  for (const auto& group : plan.groups) {
+    for (const auto& tenant : group.tenants) placed.push_back(tenant.id);
+  }
+  std::sort(placed.begin(), placed.end());
+  bool exact = placed.size() == specs.size();
+  for (size_t i = 0; exact && i < specs.size(); ++i) {
+    exact = placed[i] == specs[i].id;
+  }
+  if (exact) return Status::OK();
+  return Status::Internal(what + ": " + std::to_string(placed.size()) +
+                          " placements do not cover the " +
+                          std::to_string(specs.size()) +
+                          " registered tenants exactly once");
+}
+
+/// A fresh service on-boards `live`'s registered tenants with their
+/// current history and runs one cycle from an empty plan under the P of
+/// `live`'s last cycle.
+Result<ColdBaseline> RunColdBaseline(const SoakConfig& config,
+                                     const StreamingService& live) {
+  const CycleDecision& decision = live.decisions().back();
+  StreamingServiceOptions options = MakeServiceOptions(config);
+  options.controller.initial_sla_fraction = decision.sla_fraction;
+  StreamingService cold(options);
+  // Registered specs and history are both id-ordered over the same
+  // tenants between cycles.
+  const std::vector<TenantSpec> specs = live.RegisteredSpecs();
+  std::vector<TenantLog> history = live.CurrentHistory();
+  for (size_t i = 0; i < specs.size(); ++i) {
+    THRIFTY_RETURN_NOT_OK(cold.Ingest(MakeRegisterEvent(
+        decision.time, specs[i], std::move(history[i].entries))));
+  }
+  const auto start = std::chrono::steady_clock::now();
+  THRIFTY_RETURN_NOT_OK(cold.Ingest(MakeCycleMarkEvent(decision.time)));
+  ColdBaseline baseline;
+  baseline.cold_seconds = SecondsSince(start);
+  baseline.tenants = specs.size();
+  baseline.cold_effectiveness =
+      cold.current_plan().ConsolidationEffectiveness();
+  THRIFTY_RETURN_NOT_OK(CheckExactlyOnce(
+      cold.current_plan(), specs,
+      "cold baseline of cycle " + std::to_string(decision.cycle)));
+  return baseline;
+}
+
+/// OK when `replay` reproduces every fingerprint surface of `live`;
+/// otherwise names the first surface that diverged.
+Status OutcomesMatch(const SoakOutcome& live, const SoakOutcome& replay) {
+  if (replay.encoded_log != live.encoded_log ||
+      replay.event_log_fingerprint != live.event_log_fingerprint) {
+    return Status::Internal("event log diverged");
+  }
+  if (replay.decision_fingerprint != live.decision_fingerprint) {
+    return Status::Internal("decision fingerprint diverged");
+  }
+  if (replay.controller_fingerprint != live.controller_fingerprint) {
+    return Status::Internal("controller trajectory diverged");
+  }
+  if (replay.min_sla_fraction != live.min_sla_fraction) {
+    return Status::Internal("min P diverged");
+  }
+  if (replay.decisions.size() != live.decisions.size()) {
+    return Status::Internal("cycle count diverged");
+  }
+  for (size_t i = 0; i < live.decisions.size(); ++i) {
+    if (replay.decisions[i].plan_fingerprint !=
+        live.decisions[i].plan_fingerprint) {
+      return Status::Internal("cycle " + std::to_string(i) +
+                              " plan fingerprint diverged");
+    }
+  }
+  return Status::OK();
+}
+
 void FillOutcomeTail(const StreamingService& service, SoakOutcome* out) {
   out->decisions = service.decisions();
   out->controller_trajectory = service.controller().trajectory();
@@ -81,6 +169,20 @@ void FillOutcomeTail(const StreamingService& service, SoakOutcome* out) {
 }
 
 }  // namespace
+
+SoakConfig ChurnSoakConfig(bool smoke) {
+  SoakConfig config;
+  config.initial_tenants = smoke ? 260 : 1200;
+  config.cycles = smoke ? 3 : 6;  // cycle 0 plus the churn cycles
+  config.churn_per_cycle = smoke ? 5 : 6;
+  config.drift_per_cycle = 3;
+  config.horizon_days = smoke ? 3 : 14;
+  config.sessions_per_class = 25;
+  config.deploy = false;
+  config.controller.gain = 0;
+  config.cold_baseline = true;
+  return config;
+}
 
 StreamingServiceOptions MakeServiceOptions(const SoakConfig& config) {
   StreamingServiceOptions options;
@@ -208,12 +310,23 @@ Result<SoakOutcome> RunSoak(const SoakConfig& config) {
     }
     out.observed_violation_rates.push_back(observed);
     clock.AdvanceTo(static_cast<SimTime>(c + 1) * config.cycle_period);
+    const auto cycle_start = std::chrono::steady_clock::now();
     THRIFTY_ASSIGN_OR_RETURN(bool ran, service.Tick());
+    const double cycle_seconds = SecondsSince(cycle_start);
     if (!ran) {
       return Status::Internal("cycle " + std::to_string(c) +
                               " did not run (clock did not advance?)");
     }
     out.plans.push_back(service.current_plan());
+    THRIFTY_RETURN_NOT_OK(CheckExactlyOnce(service.current_plan(),
+                                           service.RegisteredSpecs(),
+                                           "cycle " + std::to_string(c)));
+    if (config.cold_baseline && c > 0) {
+      THRIFTY_ASSIGN_OR_RETURN(ColdBaseline baseline,
+                               RunColdBaseline(config, service));
+      baseline.live_seconds = cycle_seconds;
+      out.cold_baselines.push_back(baseline);
+    }
   }
 
   FillOutcomeTail(service, &out);
@@ -237,6 +350,9 @@ Result<SoakOutcome> ReplaySoak(const SoakConfig& config,
     if (event.type == EventType::kGroupFailure) out.failed_group = event.group;
     THRIFTY_RETURN_NOT_OK(service.Ingest(std::move(event)));
     if (service.decisions().size() > cycles_seen) {
+      THRIFTY_RETURN_NOT_OK(CheckExactlyOnce(
+          service.current_plan(), service.RegisteredSpecs(),
+          "replayed cycle " + std::to_string(cycles_seen)));
       ++cycles_seen;
       out.plans.push_back(service.current_plan());
       out.observed_violation_rates.push_back(
@@ -249,6 +365,28 @@ Result<SoakOutcome> ReplaySoak(const SoakConfig& config,
   }
   FillOutcomeTail(service, &out);
   return out;
+}
+
+Status CheckReplays(const SoakConfig& config, const SoakOutcome& live,
+                    const std::vector<int>& solver_jobs,
+                    std::vector<double>* replay_seconds) {
+  for (int jobs : solver_jobs) {
+    SoakConfig replay_config = config;
+    replay_config.solver_jobs = jobs;
+    const auto start = std::chrono::steady_clock::now();
+    auto replay = ReplaySoak(replay_config, live.encoded_log);
+    if (replay_seconds != nullptr) {
+      replay_seconds->push_back(SecondsSince(start));
+    }
+    Status status = replay.ok() ? OutcomesMatch(live, *replay)
+                                : replay.status();
+    if (!status.ok()) {
+      return Status(status.code(), "replay (solver-jobs=" +
+                                       std::to_string(jobs) +
+                                       "): " + status.message());
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace soak

@@ -1,15 +1,21 @@
 // cppsuite-style soak harness for the streaming service.
 //
-// One reusable driver behind the stress tests and the soak bench: it
-// generates a tenant population (§7.1 Steps 1+2), opens a StreamingService
-// on a virtual clock, and feeds it a deterministic schedule of register /
-// deregister / activity-drift events plus closed-loop SLA feedback — per
-// cycle the harness models each group's violation rate from its solved TTP
-// and reports it as a kSlaReport event, so the violation-budget controller
-// has real dynamics to steer and a replay of the recorded log trivially
-// reproduces them. Optionally every plan is applied to a simulated cluster
-// through the Deployment Master, and a node failure can be injected
-// mid-soak to exercise failure-triggered repair.
+// The one soak driver behind the soak tests, bench_streaming_soak and
+// bench_churn_soak: it generates a tenant population (§7.1 Steps 1+2),
+// opens a StreamingService on a virtual clock, and feeds it a deterministic
+// schedule of register / deregister / activity-drift events plus
+// closed-loop SLA feedback — per cycle the harness models each group's
+// violation rate from its solved TTP and reports it as a kSlaReport event,
+// so the violation-budget controller has real dynamics to steer and a
+// replay of the recorded log trivially reproduces them. Optionally every
+// plan is applied to a simulated cluster through the Deployment Master, a
+// node failure can be injected mid-soak to exercise failure-triggered
+// repair, and every churn cycle can be compared against a cold full solve
+// of the same tenants.
+//
+// Invariant: after every cycle — live, replayed or cold — the plan must
+// place each registered tenant exactly once; RunSoak and ReplaySoak return
+// a non-OK Status naming the cycle otherwise.
 
 #ifndef THRIFTY_TESTS_SOAK_SOAK_HARNESS_H_
 #define THRIFTY_TESTS_SOAK_SOAK_HARNESS_H_
@@ -55,6 +61,29 @@ struct SoakConfig {
   /// ReconsolidationOptions::activity_delta_threshold for the per-cycle
   /// delta solves.
   double activity_delta_threshold = 0.003;
+  /// After every churn cycle (cycle 1 on) of a live soak, a fresh service
+  /// on-boards the registered tenants with their current history and
+  /// solves them from an empty plan under that cycle's P
+  /// (SoakOutcome::cold_baselines). Replays ignore it.
+  bool cold_baseline = false;
+};
+
+/// \brief The churn soak's scenario: a population that turns over a few
+/// tenants and drifts a few more each cycle, with the cold baseline on, no
+/// cluster, and a zero-gain controller so P stays at its initial 99.9%.
+/// `smoke` is the CI scale.
+SoakConfig ChurnSoakConfig(bool smoke);
+
+/// \brief One churn cycle measured against a cold full solve.
+struct ColdBaseline {
+  /// Registered tenants both plans place.
+  size_t tenants = 0;
+  /// Effectiveness of the cold plan.
+  double cold_effectiveness = 0;
+  /// Wall seconds of the live (delta) cycle and of the cold cycle; not
+  /// deterministic.
+  double live_seconds = 0;
+  double cold_seconds = 0;
 };
 
 /// \brief Everything the soak gates compare between a live run and a
@@ -79,6 +108,9 @@ struct SoakOutcome {
   /// Group the injected node failure hit; -1 when disabled.
   GroupId failed_group = -1;
   double total_solve_wall_ms = 0;
+  /// One entry per churn cycle (index = cycle - 1) when
+  /// SoakConfig::cold_baseline is on; empty otherwise and in replays.
+  std::vector<ColdBaseline> cold_baselines;
 };
 
 /// \brief Service options the soak runs under — shared by RunSoak and
@@ -94,6 +126,16 @@ Result<SoakOutcome> RunSoak(const SoakConfig& config);
 /// cluster, no clock) and returns the same outcome surface.
 Result<SoakOutcome> ReplaySoak(const SoakConfig& config,
                                std::string_view encoded_log);
+
+/// \brief Replays `live`'s event log once per `solver_jobs` value under
+/// `config`. OK when every replay reproduces every fingerprint surface of
+/// `live` (event log, decisions, controller trajectory, min P, per-cycle
+/// plans); otherwise names the replay and the first surface that
+/// diverged. Each replay's wall seconds are appended to `replay_seconds`
+/// when it is non-null.
+Status CheckReplays(const SoakConfig& config, const SoakOutcome& live,
+                    const std::vector<int>& solver_jobs,
+                    std::vector<double>* replay_seconds = nullptr);
 
 }  // namespace soak
 }  // namespace thrifty

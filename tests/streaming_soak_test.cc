@@ -1,8 +1,11 @@
 // Streaming-service soak: bounded smoke soak under ctest (set
 // THRIFTY_SOAK_LONG=1 for the long mode), exercising the full loop —
 // workload generation, event stream, controller feedback, delta
-// re-consolidation, cluster deployment — and gating on feasibility,
-// monotone event-log offsets, and live-vs-replay fingerprint identity.
+// re-consolidation, cluster deployment — and gating on final-plan
+// feasibility, monotone event-log offsets, live-vs-replay fingerprint
+// identity, and the churn soak's delta-vs-cold comparison. Per-cycle
+// exactly-once coverage is the harness's own invariant: RunSoak and
+// ReplaySoak fail when any cycle breaks it.
 
 #include <algorithm>
 #include <cstdlib>
@@ -64,21 +67,6 @@ Status VerifyFinalPlan(const soak::SoakOutcome& outcome,
   return VerifySolution(problem, solution);
 }
 
-void ExpectOutcomesMatch(const soak::SoakOutcome& live,
-                         const soak::SoakOutcome& replay) {
-  EXPECT_EQ(replay.encoded_log, live.encoded_log);
-  EXPECT_EQ(replay.event_log_fingerprint, live.event_log_fingerprint);
-  EXPECT_EQ(replay.decision_fingerprint, live.decision_fingerprint);
-  EXPECT_EQ(replay.controller_fingerprint, live.controller_fingerprint);
-  EXPECT_EQ(replay.min_sla_fraction, live.min_sla_fraction);
-  ASSERT_EQ(replay.decisions.size(), live.decisions.size());
-  for (size_t i = 0; i < live.decisions.size(); ++i) {
-    EXPECT_EQ(replay.decisions[i].plan_fingerprint,
-              live.decisions[i].plan_fingerprint)
-        << "cycle " << i << " plan fingerprints diverge live vs replay";
-  }
-}
-
 TEST(StreamingSoakTest, SoakIsFeasibleDeterministicAndReplayable) {
   soak::SoakConfig config = SmokeConfig();
   auto live = soak::RunSoak(config);
@@ -98,22 +86,15 @@ TEST(StreamingSoakTest, SoakIsFeasibleDeterministicAndReplayable) {
     }
   }
 
-  // Every cycle's plan covers the then-registered population exactly once
-  // and the final plan is feasible under min-P.
+  // The final plan is feasible under min-P.
   Status feasible = VerifyFinalPlan(*live, config);
   EXPECT_TRUE(feasible.ok()) << feasible;
 
   // Replay identity — same config, then a different solver parallelism;
   // neither may move a single fingerprint byte.
-  auto replay = soak::ReplaySoak(config, live->encoded_log);
-  ASSERT_TRUE(replay.ok()) << replay.status();
-  ExpectOutcomesMatch(*live, *replay);
-
-  soak::SoakConfig parallel = config;
-  parallel.solver_jobs = 4;
-  auto replay_parallel = soak::ReplaySoak(parallel, live->encoded_log);
-  ASSERT_TRUE(replay_parallel.ok()) << replay_parallel.status();
-  ExpectOutcomesMatch(*live, *replay_parallel);
+  Status replays =
+      soak::CheckReplays(config, *live, {config.solver_jobs, 4});
+  EXPECT_TRUE(replays.ok()) << replays;
 }
 
 TEST(StreamingSoakTest, ControllerStaysInConfiguredBand) {
@@ -189,9 +170,33 @@ TEST(StreamingSoakTest, NodeFailureRepairLeavesOthersUntouched) {
   EXPECT_GT(compared, 0u) << "no untouched groups to compare";
 
   // Fault events replay like any others.
-  auto replay = soak::ReplaySoak(config, outcome->encoded_log);
-  ASSERT_TRUE(replay.ok()) << replay.status();
-  ExpectOutcomesMatch(*outcome, *replay);
+  Status replays = soak::CheckReplays(config, *outcome, {config.solver_jobs});
+  EXPECT_TRUE(replays.ok()) << replays;
+}
+
+TEST(StreamingSoakTest, ChurnSmokeDeltaTracksColdBaseline) {
+  soak::SoakConfig config = soak::ChurnSoakConfig(/*smoke=*/true);
+  auto outcome = soak::RunSoak(config);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+
+  // One cold baseline, with both wall times, per churn cycle.
+  ASSERT_EQ(outcome->cold_baselines.size(),
+            static_cast<size_t>(config.cycles - 1));
+  for (size_t i = 0; i < outcome->cold_baselines.size(); ++i) {
+    const soak::ColdBaseline& baseline = outcome->cold_baselines[i];
+    const DeploymentPlan& delta = outcome->plans[i + 1];
+    EXPECT_EQ(outcome->decisions[i + 1].sla_fraction,
+              config.controller.initial_sla_fraction);
+    EXPECT_GT(baseline.live_seconds, 0.0) << "cycle " << i + 1;
+    EXPECT_GT(baseline.cold_seconds, 0.0) << "cycle " << i + 1;
+    EXPECT_GT(baseline.cold_effectiveness, 0.0) << "cycle " << i + 1;
+    EXPECT_NEAR(delta.ConsolidationEffectiveness(),
+                baseline.cold_effectiveness, 0.01)
+        << "cycle " << i + 1;
+  }
+
+  Status replays = soak::CheckReplays(config, *outcome, {4});
+  EXPECT_TRUE(replays.ok()) << replays;
 }
 
 }  // namespace
