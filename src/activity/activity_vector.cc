@@ -82,4 +82,28 @@ std::vector<ActivityVector> MakeActivityVectors(
   return out;
 }
 
+TenantActivity MakeTenantActivity(const TenantLog& log,
+                                  const EpochConfig& epochs) {
+  TenantActivity activity;
+  activity.intervals = log.ActivityIntervals();
+  // An invalid grid leaves `epochs` empty; the advisor rejects the grid.
+  if (epochs.Valid()) {
+    activity.epochs =
+        EpochizeIntervals(log.tenant_id, activity.intervals, epochs);
+  }
+  activity.active_ratio =
+      activity.intervals.CoveredFraction(epochs.begin, epochs.end);
+  return activity;
+}
+
+ActivityIndex MakeActivityIndex(const std::vector<TenantLog>& logs,
+                                const EpochConfig& epochs) {
+  ActivityIndex index;
+  index.epochs = epochs;
+  for (const auto& log : logs) {
+    index.tenants[log.tenant_id] = MakeTenantActivity(log, epochs);
+  }
+  return index;
+}
+
 }  // namespace thrifty

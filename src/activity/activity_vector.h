@@ -16,6 +16,7 @@
 #define THRIFTY_ACTIVITY_ACTIVITY_VECTOR_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "activity/epoch.h"
@@ -85,6 +86,33 @@ ActivityVector MakeActivityVector(const TenantLog& log,
 std::vector<ActivityVector> MakeActivityVectors(
     const std::vector<TenantLog>& logs, const EpochConfig& epochs,
     int jobs = 1);
+
+/// \brief Everything the planner reads of one tenant's history, derived
+/// once per log change instead of once per solve.
+struct TenantActivity {
+  /// TenantLog::ActivityIntervals(), unclipped (burst screening reads it).
+  IntervalSet intervals;
+  /// `intervals` epochized over the index's grid (empty if it is invalid).
+  ActivityVector epochs;
+  /// Share of the grid's [begin, end) covered by `intervals` — bit-equal to
+  /// TenantLog::ActiveRatio over that window (same CoveredFraction).
+  double active_ratio = 0;
+};
+
+/// \brief Derives `log`'s activity over the grid `epochs`.
+TenantActivity MakeTenantActivity(const TenantLog& log,
+                                  const EpochConfig& epochs);
+
+/// \brief Per-tenant activity over one epoch grid. Consumers only look
+/// tenants up, never iterate, so no output depends on the map's order.
+struct ActivityIndex {
+  EpochConfig epochs;
+  std::unordered_map<TenantId, TenantActivity> tenants;
+};
+
+/// \brief Indexes every log (a repeated tenant id keeps its last log).
+ActivityIndex MakeActivityIndex(const std::vector<TenantLog>& logs,
+                                const EpochConfig& epochs);
 
 }  // namespace thrifty
 

@@ -73,6 +73,12 @@ IntervalSet IntervalSet::Clip(SimTime begin, SimTime end) const {
   return out;
 }
 
+double IntervalSet::CoveredFraction(SimTime begin, SimTime end) const {
+  if (end <= begin) return 0;
+  return static_cast<double>(Clip(begin, end).TotalLength()) /
+         static_cast<double>(end - begin);
+}
+
 IntervalSet IntervalSet::Shift(SimDuration offset) const {
   Normalize();
   IntervalSet out;

@@ -59,6 +59,11 @@ class IntervalSet {
   /// \brief Restricts the set to [begin, end), clipping boundary intervals.
   IntervalSet Clip(SimTime begin, SimTime end) const;
 
+  /// \brief Fraction of [begin, end) the set covers (0 for an empty
+  /// window) — TenantLog::ActiveRatio and TenantActivity::active_ratio
+  /// both measure through it, so the two agree bit for bit.
+  double CoveredFraction(SimTime begin, SimTime end) const;
+
   /// \brief Returns a copy with every interval shifted by `offset`.
   IntervalSet Shift(SimDuration offset) const;
 

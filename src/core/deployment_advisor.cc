@@ -1,9 +1,7 @@
 #include "core/deployment_advisor.h"
 
 #include <string>
-#include <unordered_map>
 
-#include "activity/activity_vector.h"
 #include "placement/two_step.h"
 
 namespace thrifty {
@@ -17,66 +15,70 @@ int64_t AdvisorOutput::ExcludedNodes() const {
 DeploymentAdvisor::DeploymentAdvisor(AdvisorOptions options)
     : options_(options) {}
 
+bool DeploymentAdvisor::BurstImminent(const IntervalSet& intervals,
+                                      const EpochConfig& window) const {
+  if (options_.burst_exclusion_horizon <= 0) return false;
+  // §5.1: tenants with a regular burst about to arrive are excluded from
+  // consolidation ahead of time. Insufficient history is not an error —
+  // the tenant simply is not screened.
+  auto report = DetectRegularBursts(intervals, window.begin, window.end,
+                                    options_.burst_detector);
+  if (!report.ok() || !report->HasRegularBursts()) return false;
+  for (const auto& burst : report->windows) {
+    TimeInterval next =
+        burst.NextOccurrence(window.end, options_.burst_detector.period);
+    if (next.begin < window.end + options_.burst_exclusion_horizon) {
+      return true;
+    }
+  }
+  return false;
+}
+
 Result<AdvisorOutput> DeploymentAdvisor::Advise(
     const std::vector<TenantSpec>& tenants,
     const std::vector<TenantLog>& history, SimTime history_begin,
     SimTime history_end) const {
-  if (history_end <= history_begin) {
-    return Status::InvalidArgument("empty history window");
-  }
-  EpochConfig epochs;
-  epochs.epoch_size = options_.epoch_size;
-  epochs.begin = history_begin;
-  epochs.end = history_end;
+  return Advise(tenants, MakeActivityIndex(history, {options_.epoch_size,
+                                                     history_begin,
+                                                     history_end}));
+}
 
-  std::unordered_map<TenantId, const TenantLog*> logs_by_id;
-  for (const auto& log : history) logs_by_id[log.tenant_id] = &log;
+Result<AdvisorOutput> DeploymentAdvisor::Advise(
+    const std::vector<TenantSpec>& tenants,
+    const ActivityIndex& activity) const {
+  const EpochConfig& epochs = activity.epochs;
+  if (!epochs.Valid()) {
+    return Status::InvalidArgument(
+        "empty history window or non-positive epoch size");
+  }
+  if (epochs.epoch_size != options_.epoch_size) {
+    return Status::InvalidArgument(
+        "activity index epoch size " + std::to_string(epochs.epoch_size) +
+        " does not match the advisor's " +
+        std::to_string(options_.epoch_size));
+  }
 
   AdvisorOutput output;
   std::vector<TenantSpec> consolidated;
-  std::vector<ActivityVector> activities;
-  activities.reserve(tenants.size());
+  PackingProblem problem;
+  problem.replication_factor = options_.replication_factor;
+  problem.sla_fraction = options_.sla_fraction;
+  problem.num_epochs = epochs.NumEpochs();
   for (const auto& spec : tenants) {
-    auto it = logs_by_id.find(spec.id);
-    if (it == logs_by_id.end()) {
+    auto it = activity.tenants.find(spec.id);
+    if (it == activity.tenants.end()) {
       return Status::InvalidArgument("no history for tenant " +
                                      std::to_string(spec.id));
     }
-    ActivityVector activity = MakeActivityVector(*it->second, epochs);
-    if (activity.ActiveRatio() > options_.always_active_threshold) {
+    const TenantActivity& tenant = it->second;
+    if (tenant.epochs.ActiveRatio() > options_.always_active_threshold ||
+        BurstImminent(tenant.intervals, epochs)) {
       output.excluded_tenants.push_back(spec);
-      output.excluded_active_ratios.push_back(
-          it->second->ActiveRatio(history_begin, history_end));
+      output.excluded_active_ratios.push_back(tenant.active_ratio);
       continue;
     }
-    if (options_.burst_exclusion_horizon > 0) {
-      // §5.1: tenants with a regular burst about to arrive are excluded
-      // from consolidation ahead of time. Insufficient history is not an
-      // error — the tenant simply is not screened.
-      auto report = DetectRegularBursts(it->second->ActivityIntervals(),
-                                        history_begin, history_end,
-                                        options_.burst_detector);
-      if (report.ok() && report->HasRegularBursts()) {
-        bool imminent = false;
-        for (const auto& window : report->windows) {
-          TimeInterval next = window.NextOccurrence(
-              history_end, options_.burst_detector.period);
-          if (next.begin <
-              history_end + options_.burst_exclusion_horizon) {
-            imminent = true;
-            break;
-          }
-        }
-        if (imminent) {
-          output.excluded_tenants.push_back(spec);
-          output.excluded_active_ratios.push_back(
-              it->second->ActiveRatio(history_begin, history_end));
-          continue;
-        }
-      }
-    }
     consolidated.push_back(spec);
-    activities.push_back(std::move(activity));
+    problem.items.push_back({spec.id, spec.requested_nodes, &tenant.epochs});
   }
   if (consolidated.empty()) {
     output.plan.replication_factor = options_.replication_factor;
@@ -84,10 +86,7 @@ Result<AdvisorOutput> DeploymentAdvisor::Advise(
     return output;
   }
 
-  THRIFTY_ASSIGN_OR_RETURN(
-      PackingProblem problem,
-      MakePackingProblem(consolidated, activities, options_.replication_factor,
-                         options_.sla_fraction));
+  THRIFTY_RETURN_NOT_OK(problem.Validate());
   TwoStepOptions two_step;
   two_step.solver_jobs = options_.solver_jobs;
   two_step.warm_start = options_.warm_start;
@@ -109,7 +108,7 @@ Result<AdvisorOutput> DeploymentAdvisor::Advise(
     group.member_activity_baseline.reserve(group.tenants.size());
     for (const auto& tenant : group.tenants) {
       group.member_activity_baseline.push_back(
-          logs_by_id.at(tenant.id)->ActiveRatio(history_begin, history_end));
+          activity.tenants.at(tenant.id).active_ratio);
     }
   }
   return output;

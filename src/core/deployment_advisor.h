@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "activity/activity_vector.h"
 #include "activity/burst_detection.h"
 #include "common/result.h"
 #include "placement/deployment_plan.h"
@@ -77,15 +78,27 @@ class DeploymentAdvisor {
 
   const AdvisorOptions& options() const { return options_; }
 
-  /// \brief Produces a deployment plan from the given history window.
+  /// \brief Produces a deployment plan over the index's epoch grid.
   ///
-  /// `history` must contain one log per tenant in `tenants` (matched by id).
+  /// `activity` must hold every tenant in `tenants`, and its grid must be
+  /// valid with epoch size options().epoch_size.
+  Result<AdvisorOutput> Advise(const std::vector<TenantSpec>& tenants,
+                               const ActivityIndex& activity) const;
+
+  /// \brief Log form: indexes `history` (one log per tenant, matched by
+  /// id) over [history_begin, history_end) and advises from the index.
   Result<AdvisorOutput> Advise(const std::vector<TenantSpec>& tenants,
                                const std::vector<TenantLog>& history,
                                SimTime history_begin,
                                SimTime history_end) const;
 
  private:
+  /// \brief Whether a regular burst of `intervals` (detected over
+  /// `window`) starts within burst_exclusion_horizon after it; false when
+  /// burst screening is off.
+  bool BurstImminent(const IntervalSet& intervals,
+                     const EpochConfig& window) const;
+
   AdvisorOptions options_;
 };
 

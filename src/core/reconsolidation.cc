@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 namespace thrifty {
@@ -16,8 +15,7 @@ ReconsolidationPlanner::ReconsolidationPlanner(AdvisorOptions options) {
 }
 
 Result<ReconsolidationOutput> ReconsolidationPlanner::Plan(
-    const ReconsolidationInput& input, const std::vector<TenantLog>& history,
-    SimTime history_begin, SimTime history_end) const {
+    const ReconsolidationInput& input, const ActivityIndex& activity) const {
   for (const auto& tenant : input.new_tenants) {
     if (input.deregistered.count(tenant.id)) {
       return Status::InvalidArgument(
@@ -29,9 +27,6 @@ Result<ReconsolidationOutput> ReconsolidationPlanner::Plan(
   ReconsolidationOutput output;
   output.plan.replication_factor = options_.advisor.replication_factor;
   output.plan.sla_fraction = options_.advisor.sla_fraction;
-
-  std::unordered_map<TenantId, const TenantLog*> logs_by_id;
-  for (const auto& log : history) logs_by_id[log.tenant_id] = &log;
 
   // Fresh group ids start one past the input plan's highest id: untouched
   // groups keep their ids verbatim, and a dissolved group's id (even the
@@ -59,11 +54,10 @@ Result<ReconsolidationOutput> ReconsolidationPlanner::Plan(
     if (!scaled && !lost_member && threshold >= 0 &&
         group.member_activity_baseline.size() == group.tenants.size()) {
       for (size_t m = 0; m < group.tenants.size() && !drifted; ++m) {
-        auto it = logs_by_id.find(group.tenants[m].id);
-        if (it == logs_by_id.end()) continue;  // no signal, not screened
-        double ratio = it->second->ActiveRatio(history_begin, history_end);
-        drifted = std::abs(ratio - group.member_activity_baseline[m]) >
-                  threshold;
+        auto it = activity.tenants.find(group.tenants[m].id);
+        if (it == activity.tenants.end()) continue;  // no signal
+        drifted = std::abs(it->second.active_ratio -
+                           group.member_activity_baseline[m]) > threshold;
       }
     }
     is_affected[g] = scaled || lost_member || drifted;
@@ -160,7 +154,7 @@ Result<ReconsolidationOutput> ReconsolidationPlanner::Plan(
   DeploymentAdvisor advisor(advisor_options);
   THRIFTY_ASSIGN_OR_RETURN(
       AdvisorOutput advised,
-      advisor.Advise(affected, history, history_begin, history_end));
+      advisor.Advise(affected, activity));
   if (!affected_groups.empty()) {
     GroupingSolution seed;
     seed.groups.reserve(affected_groups.size());
@@ -177,7 +171,7 @@ Result<ReconsolidationOutput> ReconsolidationPlanner::Plan(
     DeploymentAdvisor warm_advisor(warm_options);
     THRIFTY_ASSIGN_OR_RETURN(
         AdvisorOutput warm,
-        warm_advisor.Advise(affected, history, history_begin, history_end));
+        warm_advisor.Advise(affected, activity));
     if (warm.plan.TotalNodesUsed() <= advised.plan.TotalNodesUsed()) {
       advised = std::move(warm);
     }

@@ -34,12 +34,12 @@ struct ReconsolidationOptions {
   AdvisorOptions advisor;
   /// Activity-drift screening: a group none of whose explicit triggers
   /// fired (not scaled, no de-registration) is still re-solved when some
-  /// member's current activity fingerprint (TenantLog::ActiveRatio over
-  /// the cycle's history window) moved more than this from the baseline
-  /// recorded in GroupDeployment::member_activity_baseline. Members with
-  /// no log in `history` or groups without a recorded baseline never
-  /// trigger. Negative disables drift screening (the pre-delta behavior:
-  /// only explicit triggers re-solve).
+  /// member's current activity fingerprint (TenantActivity::active_ratio
+  /// over the cycle's history window) moved more than this from the
+  /// baseline recorded in GroupDeployment::member_activity_baseline.
+  /// Members absent from the activity index or groups without a recorded
+  /// baseline never trigger. Negative disables drift screening (the
+  /// pre-delta behavior: only explicit triggers re-solve).
   double activity_delta_threshold = -1.0;
   /// For each size class holding an affected tenant, additionally re-solve
   /// this many of the class's least-populated unaffected groups (the
@@ -94,15 +94,13 @@ class ReconsolidationPlanner {
   /// Advisor-options-only form: drift screening disabled.
   explicit ReconsolidationPlanner(AdvisorOptions options = AdvisorOptions());
 
-  /// \brief Computes the next deployment plan.
+  /// \brief Computes the next deployment plan over the index's window.
   ///
-  /// `history` must contain logs for every affected tenant (new tenants and
-  /// members of affected groups); logs of untouched tenants are only needed
-  /// for drift screening (absent logs simply are not screened).
+  /// `activity` must hold every affected tenant (new tenants and members of
+  /// affected groups); untouched tenants are only needed for drift
+  /// screening (absent tenants simply are not screened).
   Result<ReconsolidationOutput> Plan(const ReconsolidationInput& input,
-                                     const std::vector<TenantLog>& history,
-                                     SimTime history_begin,
-                                     SimTime history_end) const;
+                                     const ActivityIndex& activity) const;
 
  private:
   ReconsolidationOptions options_;

@@ -75,7 +75,16 @@ std::string CycleDecisionStream(const CycleDecision& decision) {
 }
 
 StreamingService::StreamingService(StreamingServiceOptions options)
-    : options_(options), controller_(options.controller) {}
+    : options_(options), controller_(options.controller) {
+  activity_.epochs = {options.reconsolidation.advisor.epoch_size,
+                      options.history_begin, options.history_end};
+}
+
+void StreamingService::SetHistory(TenantLog log) {
+  const TenantId tenant = log.tenant_id;
+  activity_.tenants[tenant] = MakeTenantActivity(log, activity_.epochs);
+  history_[tenant] = std::move(log);
+}
 
 Status StreamingService::Ingest(TenantEvent event) {
   if (!event_log_.empty() && event.time < event_log_.back().time) {
@@ -113,12 +122,20 @@ Status StreamingService::Apply(const TenantEvent& event) {
         return Status::AlreadyExists("tenant " + std::to_string(event.tenant) +
                                      " is already registered");
       }
+      for (const QueryLogEntry& entry : event.log_entries) {
+        if (entry.observed_latency < 0) {
+          return Status::InvalidArgument(
+              "tenant " + std::to_string(event.tenant) +
+              " logs a query with negative latency " +
+              std::to_string(entry.observed_latency));
+        }
+      }
       pending_new_.emplace(event.tenant, event.spec);
       TenantLog log;
       log.tenant_id = event.tenant;
       log.entries = event.log_entries;
       log.SortEntries();
-      history_[event.tenant] = std::move(log);
+      SetHistory(std::move(log));
       return Status::OK();
     }
     case EventType::kDeregister: {
@@ -129,6 +146,7 @@ Status StreamingService::Apply(const TenantEvent& event) {
         // de-registered.
         pending_new_.erase(pending);
         history_.erase(event.tenant);
+        activity_.tenants.erase(event.tenant);
         return Status::OK();
       }
       if (!registered_.count(event.tenant)) {
@@ -153,12 +171,13 @@ Status StreamingService::Apply(const TenantEvent& event) {
                                 " is not registered");
       }
       if (event.stride == 1) return Status::OK();
-      std::vector<QueryLogEntry> thinned;
-      thinned.reserve(it->second.entries.size() / event.stride + 1);
+      TenantLog thinned;
+      thinned.tenant_id = event.tenant;
+      thinned.entries.reserve(it->second.entries.size() / event.stride + 1);
       for (size_t i = 0; i < it->second.entries.size(); i += event.stride) {
-        thinned.push_back(it->second.entries[i]);
+        thinned.entries.push_back(it->second.entries[i]);
       }
-      it->second.entries = std::move(thinned);
+      SetHistory(std::move(thinned));
       return Status::OK();
     }
     case EventType::kSlaReport: {
@@ -210,8 +229,7 @@ Status StreamingService::RunCycle(const TenantEvent& mark) {
   ReconsolidationPlanner planner(planner_options);
   THRIFTY_ASSIGN_OR_RETURN(
       ReconsolidationOutput output,
-      planner.Plan(input, CurrentHistory(), options_.history_begin,
-                   options_.history_end));
+      planner.Plan(input, activity_));
 
   std::set<GroupId> old_ids;
   for (const auto& group : current_plan_.groups) old_ids.insert(group.group_id);
@@ -235,6 +253,7 @@ Status StreamingService::RunCycle(const TenantEvent& mark) {
   for (TenantId tenant : pending_dereg_) {
     registered_.erase(tenant);
     history_.erase(tenant);
+    activity_.tenants.erase(tenant);
   }
   pending_new_.clear();
   pending_dereg_.clear();

@@ -185,7 +185,8 @@ class StreamingService {
   /// \brief Registered tenants in id order.
   std::vector<TenantSpec> RegisteredSpecs() const;
 
-  /// \brief Current (drift-thinned) history in tenant-id order.
+  /// \brief Current (drift-thinned) history in tenant-id order (a deep
+  /// copy; cycles plan from the cached activity instead).
   std::vector<TenantLog> CurrentHistory() const;
 
   /// \brief Instances deployed for a group (empty without a master).
@@ -193,6 +194,8 @@ class StreamingService {
 
  private:
   Status Apply(const TenantEvent& event);
+  /// Stores `log` as its tenant's history and re-derives its activity.
+  void SetHistory(TenantLog log);
   Status RunCycle(const TenantEvent& mark);
   Status ApplyPlanDelta(const std::vector<GroupId>& dissolved,
                         const std::vector<GroupId>& created,
@@ -207,9 +210,12 @@ class StreamingService {
   SlaBudgetController controller_;
   double min_sla_fraction_ = 1.0;
 
-  /// Registered tenants and their (drift-thinned) history.
+  /// Registered tenants, their (drift-thinned) history, and that
+  /// history's activity over the options' window — derived once per log
+  /// change, so cycles plan without touching a log.
   std::map<TenantId, TenantSpec> registered_;
   std::map<TenantId, TenantLog> history_;
+  ActivityIndex activity_;
 
   /// Batched inputs for the next cycle.
   std::map<TenantId, TenantSpec> pending_new_;

@@ -21,10 +21,7 @@ IntervalSet TenantLog::ActivityIntervals() const {
 }
 
 double TenantLog::ActiveRatio(SimTime begin, SimTime end) const {
-  if (end <= begin) return 0;
-  IntervalSet clipped = ActivityIntervals().Clip(begin, end);
-  return static_cast<double>(clipped.TotalLength()) /
-         static_cast<double>(end - begin);
+  return ActivityIntervals().CoveredFraction(begin, end);
 }
 
 void TenantLog::SortEntries() {

@@ -113,6 +113,72 @@ TEST_F(AdvisorTest, EmptyWindowFails) {
             StatusCode::kInvalidArgument);
 }
 
+TEST_F(AdvisorTest, LogAdapterMatchesActivityIndex) {
+  // Tenant 0 is always active, so the excluded path is compared too.
+  logs_[0].entries = {{0, 0, 2 * kDay, -1}};
+  AdvisorOptions options;
+  options.replication_factor = 2;
+  options.sla_fraction = 0.99;
+  options.epoch_size = 10 * kMinute;
+  DeploymentAdvisor advisor(options);
+  auto from_logs = advisor.Advise(tenants_, logs_, 0, 2 * kDay);
+  // The index holds the logs in reverse order: lookups only, no order.
+  std::vector<TenantLog> reversed(logs_.rbegin(), logs_.rend());
+  auto from_index = advisor.Advise(
+      tenants_, MakeActivityIndex(reversed, {10 * kMinute, 0, 2 * kDay}));
+  ASSERT_TRUE(from_logs.ok()) << from_logs.status();
+  ASSERT_TRUE(from_index.ok()) << from_index.status();
+  EXPECT_EQ(PlanFingerprint(from_index->plan),
+            PlanFingerprint(from_logs->plan));
+  ASSERT_EQ(from_index->excluded_tenants.size(), 1u);
+  EXPECT_EQ(from_logs->excluded_tenants.size(), 1u);
+  EXPECT_EQ(from_index->excluded_active_ratios,
+            from_logs->excluded_active_ratios);
+  EXPECT_EQ(from_index->excluded_active_ratios[0],
+            logs_[0].ActiveRatio(0, 2 * kDay));
+  ASSERT_EQ(from_index->plan.groups.size(), from_logs->plan.groups.size());
+  for (size_t g = 0; g < from_index->plan.groups.size(); ++g) {
+    const GroupDeployment& group = from_index->plan.groups[g];
+    EXPECT_EQ(group.member_activity_baseline,
+              from_logs->plan.groups[g].member_activity_baseline);
+    ASSERT_EQ(group.member_activity_baseline.size(), group.tenants.size());
+    for (size_t m = 0; m < group.tenants.size(); ++m) {
+      EXPECT_EQ(group.member_activity_baseline[m],
+                logs_[static_cast<size_t>(group.tenants[m].id)].ActiveRatio(
+                    0, 2 * kDay));
+    }
+  }
+}
+
+TEST_F(AdvisorTest, EpochGridMismatchFails) {
+  AdvisorOptions options;
+  options.epoch_size = 10 * kMinute;
+  DeploymentAdvisor advisor(options);
+  Result<AdvisorOutput> coarser = advisor.Advise(
+      tenants_, MakeActivityIndex(logs_, {20 * kMinute, 0, 2 * kDay}));
+  EXPECT_EQ(coarser.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(coarser.status().message().find("epoch size"), std::string::npos);
+  EXPECT_EQ(advisor.Advise(tenants_, MakeActivityIndex(logs_, {0, 0, kDay}))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(AdvisorTest, TenantActivityRatioIsBitEqualToLogRatio) {
+  // Off-grid windows included: the ratio is measured on the intervals,
+  // not on the epochs.
+  const EpochConfig windows[] = {{10 * kMinute, 0, 2 * kDay},
+                                 {7 * kMinute, kHour + 13, kDay + 17},
+                                 {kHour, 5 * kHour, 6 * kHour}};
+  for (const EpochConfig& grid : windows) {
+    for (const TenantLog& log : logs_) {
+      EXPECT_EQ(MakeTenantActivity(log, grid).active_ratio,
+                log.ActiveRatio(grid.begin, grid.end))
+          << "tenant " << log.tenant_id;
+    }
+  }
+}
+
 TEST_F(AdvisorTest, AllTenantsExcludedYieldsEmptyPlan) {
   for (auto& log : logs_) {
     log.entries.clear();

@@ -45,6 +45,12 @@ class ReconsolidationTest : public ::testing::Test {
     return opts;
   }
 
+  /// The planner's activity input: `logs` over the fixture's one-day
+  /// window at the advisor's epoch size.
+  ActivityIndex Index(const std::vector<TenantLog>& logs) const {
+    return MakeActivityIndex(logs, {options_.epoch_size, 0, kDay});
+  }
+
   DeploymentPlan plan_;
   std::vector<TenantLog> history_;
   AdvisorOptions options_;
@@ -54,7 +60,7 @@ TEST_F(ReconsolidationTest, NothingAffectedKeepsEverything) {
   ReconsolidationPlanner planner(options_);
   ReconsolidationInput input;
   input.current_plan = plan_;
-  auto output = planner.Plan(input, {}, 0, kDay);
+  auto output = planner.Plan(input, Index({}));
   ASSERT_TRUE(output.ok()) << output.status();
   EXPECT_EQ(output->plan.groups.size(), 2u);
   EXPECT_TRUE(output->regrouped_tenants.empty());
@@ -66,7 +72,7 @@ TEST_F(ReconsolidationTest, ScaledGroupIsRegrouped) {
   ReconsolidationInput input;
   input.current_plan = plan_;
   input.scaled_groups = {0};
-  auto output = planner.Plan(input, history_, 0, kDay);
+  auto output = planner.Plan(input, Index(history_));
   ASSERT_TRUE(output.ok()) << output.status();
   // Group 1 untouched; group 0's three tenants regrouped.
   EXPECT_EQ(output->untouched_groups, (std::vector<GroupId>{1}));
@@ -82,7 +88,7 @@ TEST_F(ReconsolidationTest, DeregistrationShrinksItsGroup) {
   ReconsolidationInput input;
   input.current_plan = plan_;
   input.deregistered = {4};  // member of group 1
-  auto output = planner.Plan(input, history_, 0, kDay);
+  auto output = planner.Plan(input, Index(history_));
   ASSERT_TRUE(output.ok()) << output.status();
   EXPECT_EQ(output->untouched_groups, (std::vector<GroupId>{0}));
   size_t placed = 0;
@@ -109,7 +115,7 @@ TEST_F(ReconsolidationTest, NewTenantsJoinTheCycle) {
   fresh_log.entries.push_back({20 * kHour, 0, 30 * kMinute, -1});
   std::vector<TenantLog> history = history_;
   history.push_back(fresh_log);
-  auto output = planner.Plan(input, history, 0, kDay);
+  auto output = planner.Plan(input, Index(history));
   ASSERT_TRUE(output.ok()) << output.status();
   EXPECT_EQ(output->untouched_groups.size(), 2u);
   bool found = false;
@@ -128,7 +134,7 @@ TEST_F(ReconsolidationTest, AlwaysActiveRegroupedTenantGetsDedicatedGroup) {
   std::vector<TenantLog> history = history_;
   history[1].entries.clear();
   history[1].entries.push_back({0, 0, kDay, -1});
-  auto output = planner.Plan(input, history, 0, kDay);
+  auto output = planner.Plan(input, Index(history));
   ASSERT_TRUE(output.ok()) << output.status();
   bool dedicated_found = false;
   for (const auto& group : output->plan.groups) {
@@ -151,7 +157,7 @@ TEST_F(ReconsolidationTest, HighestIdGroupDissolveNeverReusesItsId) {
   ReconsolidationInput input;
   input.current_plan = plan_;
   input.scaled_groups = {1};
-  auto output = planner.Plan(input, history_, 0, kDay);
+  auto output = planner.Plan(input, Index(history_));
   ASSERT_TRUE(output.ok()) << output.status();
   EXPECT_EQ(output->untouched_groups, (std::vector<GroupId>{0}));
   EXPECT_EQ(output->resolved_groups, (std::vector<GroupId>{1}));
@@ -190,7 +196,7 @@ TEST_F(ReconsolidationTest, ActivityDriftTriggersResolveOnlyPastThreshold) {
   input.current_plan = plan;
   {
     ReconsolidationPlanner planner(opts);
-    auto output = planner.Plan(input, history, 0, kDay);
+    auto output = planner.Plan(input, Index(history));
     ASSERT_TRUE(output.ok()) << output.status();
     EXPECT_EQ(output->untouched_groups, (std::vector<GroupId>{1}));
     EXPECT_EQ(output->resolved_groups, (std::vector<GroupId>{0}));
@@ -200,7 +206,7 @@ TEST_F(ReconsolidationTest, ActivityDriftTriggersResolveOnlyPastThreshold) {
   opts.activity_delta_threshold = -1.0;
   {
     ReconsolidationPlanner planner(opts);
-    auto output = planner.Plan(input, history, 0, kDay);
+    auto output = planner.Plan(input, Index(history));
     ASSERT_TRUE(output.ok()) << output.status();
     EXPECT_EQ(output->untouched_groups.size(), 2u);
     EXPECT_EQ(output->drifted_groups, 0u);
@@ -218,7 +224,7 @@ TEST_F(ReconsolidationTest, UnaffectedTailGroupIsOpenedAsAbsorber) {
   ReconsolidationInput input;
   input.current_plan = plan_;
   input.scaled_groups = {0};
-  auto output = planner.Plan(input, history_, 0, kDay);
+  auto output = planner.Plan(input, Index(history_));
   ASSERT_TRUE(output.ok()) << output.status();
   EXPECT_TRUE(output->untouched_groups.empty());
   EXPECT_EQ(output->resolved_groups, (std::vector<GroupId>{0, 1}));
@@ -238,7 +244,7 @@ TEST_F(ReconsolidationTest, ConflictingRegistrationRejected) {
   fresh.requested_nodes = 2;
   input.new_tenants = {fresh};
   input.deregistered = {100};
-  EXPECT_EQ(planner.Plan(input, history_, 0, kDay).status().code(),
+  EXPECT_EQ(planner.Plan(input, Index(history_)).status().code(),
             StatusCode::kInvalidArgument);
 }
 

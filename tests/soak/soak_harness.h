@@ -80,7 +80,8 @@ struct ColdBaseline {
   size_t tenants = 0;
   /// Effectiveness of the cold plan.
   double cold_effectiveness = 0;
-  /// Wall seconds of the live (delta) cycle and of the cold cycle; not
+  /// Wall seconds of the live (delta) cycle — its events plus Tick() —
+  /// and of the cold cycle — its registrations plus the mark; not
   /// deterministic.
   double live_seconds = 0;
   double cold_seconds = 0;

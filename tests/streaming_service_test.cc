@@ -3,6 +3,7 @@
 
 #include "service/streaming_service.h"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,12 @@ StreamingServiceOptions SmallOptions() {
   return options;
 }
 
+/// The epoch grid the service's cycles plan over.
+EpochConfig HistoryGrid(const StreamingServiceOptions& options) {
+  return {options.reconsolidation.advisor.epoch_size, options.history_begin,
+          options.history_end};
+}
+
 Status RegisterTenants(StreamingService* service, SimTime t,
                        const std::vector<TenantSpec>& specs) {
   for (const TenantSpec& spec : specs) {
@@ -163,6 +170,23 @@ TEST(StreamingServiceTest, RejectsOverfullSlaReport) {
   StreamingService service(SmallOptions());
   EXPECT_EQ(service.Ingest(MakeSlaReportEvent(0, 10, 11)).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(StreamingServiceTest, RejectsNegativeLatencyRegistration) {
+  std::vector<QueryLogEntry> entries = SparseDay(1);
+  entries[3].observed_latency = -kSecond;
+  TenantEvent bad = MakeRegisterEvent(0, MakeTenant(1, 2), entries);
+
+  StreamingService service(SmallOptions());
+  Status st = service.Ingest(bad);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("negative latency"), std::string::npos);
+  EXPECT_TRUE(service.event_log().empty());  // rejected, not appended
+  EXPECT_TRUE(service.CurrentHistory().empty());
+
+  // The same record arriving through an encoded log fails the replay.
+  auto replay = StreamingService::Replay(EncodeEventLog({bad}), SmallOptions());
+  EXPECT_EQ(replay.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(StreamingServiceTest, DeregisterOfPendingRegistrationCancels) {
@@ -274,15 +298,15 @@ TEST(StreamingServiceTest, DecisionCarriesPlannerAccounting) {
   ASSERT_TRUE(service.Ingest(MakeActivityDriftEvent(kHour + 1, 20, 2)).ok());
   ASSERT_TRUE(service.Ingest(MakeDeregisterEvent(kHour + 2, 11)).ok());
   ASSERT_TRUE(service.Ingest(MakeDeregisterEvent(kHour + 2, 12)).ok());
-  const std::vector<TenantLog> history = service.CurrentHistory();
+  const ActivityIndex activity =
+      MakeActivityIndex(service.CurrentHistory(), HistoryGrid(options));
   ASSERT_TRUE(service.Ingest(MakeCycleMarkEvent(2 * kHour)).ok());
   const CycleDecision& decision = service.decisions().back();
 
   ReconsolidationOptions planner_options = options.reconsolidation;
   planner_options.advisor.sla_fraction = decision.sla_fraction;
-  auto expected = ReconsolidationPlanner(planner_options)
-                      .Plan(input, history, options.history_begin,
-                            options.history_end);
+  auto expected =
+      ReconsolidationPlanner(planner_options).Plan(input, activity);
   ASSERT_TRUE(expected.ok()) << expected.status();
   EXPECT_EQ(decision.plan_fingerprint, PlanFingerprint(expected->plan));
   EXPECT_EQ(decision.drifted_groups, 1u);
@@ -304,6 +328,46 @@ TEST(StreamingServiceTest, DecisionCarriesPlannerAccounting) {
   altered.warm_members_evicted += 4;
   altered.warm_members_missing += 5;
   EXPECT_EQ(CycleDecisionStream(altered), CycleDecisionStream(decision));
+}
+
+TEST(StreamingServiceTest, CachedActivityTracksEveryHistoryChange) {
+  // Every event that rewrites a tenant's history — registration, a stride-2
+  // then a stride-3 drift, a same-batch register-then-deregister cancel —
+  // must leave the cycle planning from exactly the activity a fresh index
+  // over CurrentHistory() derives.
+  const StreamingServiceOptions options = SmallOptions();
+  StreamingService service(options);
+  std::vector<TenantSpec> specs;
+  for (TenantId id = 0; id < 40; ++id) specs.push_back(MakeTenant(id, 2));
+  ASSERT_TRUE(RegisterTenants(&service, 0, specs).ok());
+  ASSERT_TRUE(service.Ingest(MakeCycleMarkEvent(kHour)).ok());
+
+  ReconsolidationInput input;
+  input.current_plan = service.current_plan();
+  input.new_tenants = {MakeTenant(50, 2)};
+  ASSERT_TRUE(RegisterTenants(&service, kHour + 1, input.new_tenants).ok());
+  ASSERT_TRUE(service.Ingest(MakeActivityDriftEvent(kHour + 2, 20, 2)).ok());
+  ASSERT_TRUE(service.Ingest(MakeActivityDriftEvent(kHour + 3, 20, 3)).ok());
+  ASSERT_TRUE(RegisterTenants(&service, kHour + 4, {MakeTenant(51, 2)}).ok());
+  ASSERT_TRUE(service.Ingest(MakeDeregisterEvent(kHour + 5, 51)).ok());
+  const ActivityIndex activity =
+      MakeActivityIndex(service.CurrentHistory(), HistoryGrid(options));
+  ASSERT_TRUE(service.Ingest(MakeCycleMarkEvent(2 * kHour)).ok());
+  const CycleDecision& decision = service.decisions().back();
+
+  ReconsolidationOptions planner_options = options.reconsolidation;
+  planner_options.advisor.sla_fraction = decision.sla_fraction;
+  auto expected =
+      ReconsolidationPlanner(planner_options).Plan(input, activity);
+  ASSERT_TRUE(expected.ok()) << expected.status();
+  EXPECT_EQ(decision.plan_fingerprint, PlanFingerprint(expected->plan));
+  EXPECT_EQ(decision.drifted_groups, 1u);
+  EXPECT_EQ(decision.drifted_groups, expected->drifted_groups);
+  std::vector<GroupId> resolved = expected->resolved_groups;
+  std::sort(resolved.begin(), resolved.end());
+  EXPECT_EQ(decision.resolved_groups, resolved);
+  EXPECT_TRUE(service.current_plan().GroupOf(50).ok());
+  EXPECT_FALSE(service.current_plan().GroupOf(51).ok());
 }
 
 TEST(StreamingServiceTest, TickRequiresClock) {
