@@ -37,6 +37,8 @@ GroupingSolution GreedyGroup(const PackingProblem& problem, bool split_sizes,
   }
   const int r = problem.replication_factor;
   GroupingSolution solution;
+  GroupLevelSet::ColumnLookup lookup;
+  GroupLevelSet::EvalScratch scratch;
   for (auto& [key, members] : classes) {
     std::vector<const PackingItem*>& remaining = members;
     std::sort(remaining.begin(), remaining.end(),
@@ -55,6 +57,11 @@ GroupingSolution GreedyGroup(const PackingProblem& problem, bool split_sizes,
       group.tenant_ids.push_back(seed->tenant_id);
       group.max_nodes = seed->nodes;
       while (!remaining.empty()) {
+        lookup.Sync(levels);
+        auto evaluate = [&](const PackingItem* item) {
+          levels.EvaluateAddInto(*item->activity, lookup, &scratch);
+          return scratch.pops;
+        };
         size_t best = remaining.size();
         std::vector<size_t> best_pops;
         if (rule == PickRule::kRandom) {
@@ -65,7 +72,7 @@ GroupingSolution GreedyGroup(const PackingProblem& problem, bool split_sizes,
             std::swap(order[i - 1], order[rng.NextBounded(i)]);
           }
           for (size_t i : order) {
-            auto pops = levels.EvaluateAdd(*remaining[i]->activity);
+            auto pops = evaluate(remaining[i]);
             if (levels.TtpFromPopcounts(pops, r) + 1e-12 >=
                 problem.sla_fraction) {
               best = i;
@@ -76,7 +83,7 @@ GroupingSolution GreedyGroup(const PackingProblem& problem, bool split_sizes,
           if (best == remaining.size()) break;  // nobody fits
         } else {
           for (size_t i = 0; i < remaining.size(); ++i) {
-            auto pops = levels.EvaluateAdd(*remaining[i]->activity);
+            auto pops = evaluate(remaining[i]);
             bool better;
             if (best == remaining.size()) {
               better = true;

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   const std::string bench_name = "churn_soak";
   bool smoke = false;
   BenchOptions options = ParseBenchArgs(
-      argc, argv, bench_name,
+      argc, argv, bench_name, kSolverJobsFlag | kSeedFlag,
       {SwitchFlag("--smoke", &smoke,
                   "  T=260 tenants, 3-day horizon, 2 cycles (CI scale)")});
   BenchReport report(bench_name, options);

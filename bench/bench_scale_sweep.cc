@@ -5,8 +5,10 @@
 // Per point the bench composes the workload straight into sparse activity
 // vectors (LogComposer::ComposeActivityVectors — the streamed epochizer
 // path, so no interval set for the whole population is ever resident),
-// solves it hierarchically, verifies the plan, and records the FNV plan
-// fingerprint. At the first point it additionally
+// solves it hierarchically at shard_jobs 1, verifies the plan, and records
+// the FNV plan fingerprint; it then re-solves at shard_jobs 4, which must
+// reproduce the plan, and records the shard fan-out speedup and the merge's
+// share of the wall time at both. At the first point it additionally
 //   * runs the flat SolveTwoStep and gates the hierarchical effectiveness
 //     within 2 percentage points of it, and
 //   * re-solves across the shard_jobs x solver_jobs cross and gates
@@ -16,9 +18,7 @@
 // cost is extrapolated and reported for the skipped points), so the results
 // table stays a pure function of the flags.
 //
-// Wall-clock and RSS are metrics, never fingerprinted; on a single-core
-// container the shard fan-out speedup is not demonstrable and fingerprint
-// identity plus the asymptotic wall-time curve are the claims.
+// Wall-clock, speedups and RSS are metrics, never fingerprinted.
 //
 // Extra flags: --smoke (points 10k + 50k, the CI tier-1 configuration),
 // --tenants=N[,N...] (explicit point list), --flat-max-tenants=N (default
@@ -29,6 +29,7 @@
 
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -58,7 +59,7 @@ int main(int argc, char** argv) {
   int flat_max_tenants = 10000;
   FingerprintPins pins("--expect-plan", {"first-point plan"});
   BenchOptions options = ParseBenchArgs(
-      argc, argv, bench_name,
+      argc, argv, bench_name, kSolverJobsFlag | kSeedFlag,
       {BenchFlag{"--smoke", "  points 10k + 50k (CI tier-1)",
                  [&points](const std::string&) {
                    points = {10000, 50000};
@@ -100,6 +101,7 @@ int main(int argc, char** argv) {
   double last_flat_seconds = 0;
   int last_flat_tenants = 0;
   uint64_t first_plan_fp = 0;
+  bool identical = true;
 
   for (size_t point = 0; point < points.size(); ++point) {
     const int num_tenants = points[point];
@@ -170,9 +172,8 @@ int main(int argc, char** argv) {
     table.AddRow({std::to_string(num_tenants), "workload", "-", "-", "-",
                   std::to_string(requested), "-", Hex64(workload_fp)});
 
-    // --- Hierarchical solve (default partition, CLI-driven workers) ---
+    // --- Hierarchical solve (default partition, shard_jobs 1) ---------
     HierarchicalOptions hier_options;
-    hier_options.shard_jobs = options.jobs;
     hier_options.solver_jobs = options.solver_jobs;
     HierarchicalStats stats;
     t0 = std::chrono::steady_clock::now();
@@ -205,6 +206,8 @@ int main(int argc, char** argv) {
     report.AddMetric("hier_shard_solve_seconds" + suffix,
                      stats.shard_solve_seconds);
     report.AddMetric("hier_merge_seconds" + suffix, stats.merge_seconds);
+    report.AddMetric("hier_merge_share" + suffix,
+                     stats.merge_seconds / hier_seconds);
     report.AddMetric("hier_shards" + suffix,
                      static_cast<double>(stats.num_logical_shards));
     report.AddMetric("hier_groups_reopened" + suffix,
@@ -221,6 +224,44 @@ int main(int argc, char** argv) {
               << FormatDouble(hier_seconds, 1) << "s ("
               << stats.num_logical_shards << " shards), plan "
               << Hex64(hier_fp) << "\n";
+
+    // --- The same solve with four shards in flight ---------------------
+    HierarchicalOptions fanned = hier_options;
+    fanned.shard_jobs = 4;
+    HierarchicalStats fanned_stats;
+    t0 = std::chrono::steady_clock::now();
+    auto fanned_plan = SolveHierarchical(*problem, fanned, &fanned_stats);
+    const double fanned_seconds = Seconds(t0);
+    if (!fanned_plan.ok()) {
+      std::cerr << "shard_jobs=4 solve failed: " << fanned_plan.status()
+                << "\n";
+      return 1;
+    }
+    const uint64_t fanned_fp = GroupingFingerprint(*fanned_plan);
+    if (fanned_fp != hier_fp) {
+      identical = false;
+      std::cout << "plan fingerprint drift at shard_jobs=4: "
+                << Hex64(fanned_fp) << " != " << Hex64(hier_fp) << "\n";
+    }
+    report.AddMetric("hier_seconds_sj4" + suffix, fanned_seconds);
+    report.AddMetric("hier_shard_solve_seconds_sj4" + suffix,
+                     fanned_stats.shard_solve_seconds);
+    report.AddMetric("hier_merge_seconds_sj4" + suffix,
+                     fanned_stats.merge_seconds);
+    report.AddMetric("hier_merge_share_sj4" + suffix,
+                     fanned_stats.merge_seconds / fanned_seconds);
+    report.AddMetric("hier_speedup_sj4" + suffix,
+                     hier_seconds / fanned_seconds);
+    std::cout << "n=" << num_tenants << " shard_jobs 1 -> 4: "
+              << FormatDouble(hier_seconds, 1) << "s -> "
+              << FormatDouble(fanned_seconds, 1) << "s ("
+              << FormatDouble(hier_seconds / fanned_seconds, 2)
+              << "x); merge share "
+              << FormatDouble(100 * stats.merge_seconds / hier_seconds, 1)
+              << "% -> "
+              << FormatDouble(
+                     100 * fanned_stats.merge_seconds / fanned_seconds, 1)
+              << "%\n";
 
     // --- Flat baseline (bounded by --flat-max-tenants) -----------------
     if (num_tenants <= flat_max_tenants) {
@@ -270,16 +311,26 @@ int main(int argc, char** argv) {
 
     // --- Parallelism identity cross (first point only) -----------------
     if (point == 0) {
-      bool identical = true;
       for (int shard_jobs : {1, 2, 4}) {
         for (int solver_jobs : {1, 2, 4}) {
-          HierarchicalOptions cross = hier_options;
-          cross.shard_jobs = shard_jobs;
-          cross.solver_jobs = solver_jobs;
-          auto solution = SolveHierarchical(*problem, cross);
-          if (!solution.ok()) {
-            std::cerr << "cross solve failed: " << solution.status() << "\n";
-            return 1;
+          // The shard_jobs 1 and 4 cells at the point's solver_jobs were
+          // solved above; every configuration is solved once per point.
+          const GroupingSolution* solution = nullptr;
+          if (solver_jobs == hier_options.solver_jobs) {
+            if (shard_jobs == hier_options.shard_jobs) solution = &*hier;
+            if (shard_jobs == fanned.shard_jobs) solution = &*fanned_plan;
+          }
+          std::optional<GroupingSolution> solved;
+          if (solution == nullptr) {
+            HierarchicalOptions cross = hier_options;
+            cross.shard_jobs = shard_jobs;
+            cross.solver_jobs = solver_jobs;
+            auto result = SolveHierarchical(*problem, cross);
+            if (!result.ok()) {
+              std::cerr << "cross solve failed: " << result.status() << "\n";
+              return 1;
+            }
+            solution = &solved.emplace(*std::move(result));
           }
           const uint64_t fp = GroupingFingerprint(*solution);
           const std::string config_text =
@@ -298,19 +349,19 @@ int main(int argc, char** argv) {
           }
         }
       }
-      report.Gate("fingerprints_identical_across_parallelism", identical,
-                  "plan fingerprints identical across shard_jobs x "
-                  "solver_jobs");
     }
   }
+  report.Gate("fingerprints_identical_across_parallelism", identical,
+              "plan fingerprints identical across shard_jobs x solver_jobs");
 
   report.GatePins("expected_plan_fingerprint_match", pins, {first_plan_fp});
 
   report.AddText(
       "note",
-      "The claims are the asymptotic wall-time curve vs the flat solver "
-      "and byte-identical plan fingerprints at every shard_jobs x "
-      "solver_jobs (config sj=shard_jobs, j=solver_jobs). Flat rows exist "
+      "The claims are the asymptotic wall-time curve vs the flat solver, "
+      "the shard_jobs 1 -> 4 speedup and merge share per point (_sj4 "
+      "metrics), and byte-identical plan fingerprints at every shard_jobs "
+      "x solver_jobs (config sj=shard_jobs, j=solver_jobs). Flat rows exist "
       "only at points <= --flat-max-tenants so the table is a pure function "
       "of the flags.");
   report.SetResultsTable(table);

@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
   const std::string bench_name = "shared_scan";
   bool smoke = false;
   BenchOptions options = ParseBenchArgs(
-      argc, argv, bench_name,
+      argc, argv, bench_name, kSeedFlag,
       {SwitchFlag("--smoke", &smoke, "  64 residents instead of 256 (CI)")});
   BenchReport report(bench_name, options);
 

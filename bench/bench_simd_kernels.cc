@@ -159,6 +159,7 @@ struct ArgminFixture {
   std::vector<thrifty::ActivityVector> members;
   thrifty::ActivityVector candidate;
   thrifty::GroupLevelSet group{0};
+  thrifty::GroupLevelSet::ColumnLookup lookup;
 
   ArgminFixture() {
     const size_t epochs = 120000;
@@ -179,12 +180,13 @@ struct ArgminFixture {
       group.Add(members.back());
     }
     candidate = make(1000);
+    lookup.Sync(group);
   }
 
   /// Evaluates the candidate against the group; returns pops checksum.
   uint64_t EvalOnce(thrifty::GroupLevelSet::EvalScratch* scratch,
                     std::vector<size_t>* incumbent) const {
-    group.EvaluateAddCompare(candidate, *incumbent, scratch);
+    group.EvaluateAddCompare(candidate, *incumbent, lookup, scratch);
     uint64_t acc = 0;
     for (size_t p : scratch->pops) acc = acc * 1315423911u + p;
     return acc;
@@ -198,7 +200,8 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "simd_kernels";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options = ParseBenchArgs(argc, argv, bench_name,
+                                        kNoSharedFlags);
   BenchReport report(bench_name, options);
 
   const Target dispatched = simd::ActiveTarget();

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   int exact_tenants = 12;
   FingerprintPins pins("--expect", {"workload", "two_step", "exact"});
   BenchOptions options = ParseBenchArgs(
-      argc, argv, bench_name,
+      argc, argv, bench_name, kSeedFlag,
       {IntFlag("--tenants", &num_tenants, 1,
                "=N  tenants in the workload/two-step stage (default 2000)"),
        IntFlag("--exact-tenants", &exact_tenants, 1,

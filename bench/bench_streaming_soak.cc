@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   const std::string bench_name = "streaming_soak";
   bool smoke = false;
   BenchOptions options = ParseBenchArgs(
-      argc, argv, bench_name,
+      argc, argv, bench_name, kSolverJobsFlag | kSeedFlag,
       {SwitchFlag("--smoke", &smoke, "  ctest smoke scale (CI)")});
   BenchReport report(bench_name, options);
 

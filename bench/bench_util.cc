@@ -122,40 +122,51 @@ double Seconds(std::chrono::steady_clock::time_point since) {
 }
 
 BenchOptions ParseBenchArgs(int argc, char** argv,
-                            const std::string& bench_name,
+                            const std::string& bench_name, unsigned shared,
                             const std::vector<BenchFlag>& bench_flags) {
   BenchOptions options;
   bool no_json = false;
-  std::vector<BenchFlag> flags = {
-      IntFlag("--jobs", &options.jobs, 1,
-              "=N  run sweep trials on N worker threads (default 1); "
-              "results are bit-identical for any N"),
-      IntFlag("-j", &options.jobs, 1, ""),
-      IntFlag("--solver-jobs", &options.solver_jobs, 1,
-              "=N  thread each solve / workload composition on N workers "
-              "(default 1; composes with --jobs); results are "
-              "bit-identical for any N"),
-      SwitchFlag("--warm-start", &options.warm_start,
-                 "  run an extra sequential two-step pass that seeds each "
-                 "sweep point with the previous point's plan and reports "
-                 "per-point time savings / effectiveness deltas (fig7_1 and "
-                 "fig7_5; the cold fingerprinted results are unchanged)"),
-      BenchFlag{"--seed", "=S  base seed for deterministic trial streams",
-                [&options](const std::string& value) {
-                  char* end = nullptr;
-                  options.seed = std::strtoull(value.c_str(), &end, 10);
-                  options.seed_set = true;
-                  return !value.empty() && *end == '\0';
-                }},
-      BenchFlag{"--out",
-                "=DIR  directory for BENCH_" + bench_name +
-                    ".json (default .)",
-                [&options](const std::string& value) {
-                  options.out_dir = value;
-                  return true;
-                }},
-      SwitchFlag("--no-json", &no_json, "  skip writing the JSON result file"),
-  };
+  std::vector<BenchFlag> flags;
+  if (shared & kJobsFlag) {
+    flags.push_back(IntFlag("--jobs", &options.jobs, 1,
+                            "=N  run sweep trials on N worker threads "
+                            "(default 1); results are bit-identical for "
+                            "any N"));
+    flags.push_back(IntFlag("-j", &options.jobs, 1, ""));
+  }
+  if (shared & kSolverJobsFlag) {
+    flags.push_back(IntFlag("--solver-jobs", &options.solver_jobs, 1,
+                            "=N  thread each solve / workload composition "
+                            "on N workers (default 1; composes with "
+                            "--jobs); results are bit-identical for any N"));
+  }
+  if (shared & kWarmStartFlag) {
+    flags.push_back(SwitchFlag(
+        "--warm-start", &options.warm_start,
+        "  run an extra sequential two-step pass that seeds each sweep "
+        "point with the previous point's plan and reports per-point time "
+        "savings / effectiveness deltas (the cold fingerprinted results are "
+        "unchanged)"));
+  }
+  if (shared & kSeedFlag) {
+    flags.push_back(
+        BenchFlag{"--seed", "=S  base seed for deterministic trial streams",
+                  [&options](const std::string& value) {
+                    char* end = nullptr;
+                    options.seed = std::strtoull(value.c_str(), &end, 10);
+                    options.seed_set = true;
+                    return !value.empty() && *end == '\0';
+                  }});
+  }
+  flags.push_back(BenchFlag{"--out",
+                            "=DIR  directory for BENCH_" + bench_name +
+                                ".json (default .)",
+                            [&options](const std::string& value) {
+                              options.out_dir = value;
+                              return true;
+                            }});
+  flags.push_back(
+      SwitchFlag("--no-json", &no_json, "  skip writing the JSON result file"));
   flags.insert(flags.end(), bench_flags.begin(), bench_flags.end());
 
   for (int i = 1; i < argc; ++i) {

@@ -106,12 +106,22 @@ struct FingerprintPins {
 /// \brief Seconds elapsed on the steady clock since `since`.
 double Seconds(std::chrono::steady_clock::time_point since);
 
-/// \brief Parses the shared flags (--jobs/--solver-jobs/--seed/--out/
-/// --warm-start/--no-json/--help) plus the bench's own `flags`. An unknown
-/// argument, a missing value or a malformed value prints a message naming
-/// the flag and exits 2.
+/// \brief The shared flags a bench reads, declared to ParseBenchArgs as a
+/// bitwise OR. --out, --no-json and --help are always accepted.
+enum SharedFlags : unsigned {
+  kNoSharedFlags = 0,
+  kJobsFlag = 1u << 0,        ///< --jobs / -j
+  kSolverJobsFlag = 1u << 1,  ///< --solver-jobs
+  kWarmStartFlag = 1u << 2,   ///< --warm-start
+  kSeedFlag = 1u << 3,        ///< --seed
+};
+
+/// \brief Parses the declared `shared` flags plus --out/--no-json/--help
+/// and the bench's own `flags`. An unknown argument (a shared flag the
+/// bench did not declare among them), a missing value or a malformed value
+/// prints a message naming the flag and exits 2.
 BenchOptions ParseBenchArgs(int argc, char** argv,
-                            const std::string& bench_name,
+                            const std::string& bench_name, unsigned shared,
                             const std::vector<BenchFlag>& flags = {});
 
 /// \brief Renders a TablePrinter to a string.

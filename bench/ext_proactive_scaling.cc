@@ -103,7 +103,8 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "ext_proactive_scaling";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options = ParseBenchArgs(argc, argv, bench_name,
+                                        kJobsFlag | kSeedFlag);
   BenchReport report(bench_name, options);
 
   QueryCatalog catalog = QueryCatalog::Default();

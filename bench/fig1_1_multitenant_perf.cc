@@ -98,7 +98,8 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "fig1_1_multitenant_perf";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options = ParseBenchArgs(argc, argv, bench_name,
+                                        kNoSharedFlags);
   BenchReport report(bench_name, options);
 
   QueryCatalog catalog = QueryCatalog::Default();

@@ -49,6 +49,7 @@ int main(int argc, char** argv) {
   bool smoke = false;
   BenchOptions options = ParseBenchArgs(
       argc, argv, bench_name,
+      kJobsFlag | kSolverJobsFlag | kWarmStartFlag | kSeedFlag,
       {SwitchFlag("--smoke", &smoke,
                   "  T=200 tenants, 3-day horizon, 4 E points (CI scale)")});
   BenchReport report(bench_name, options);

@@ -20,7 +20,9 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "fig7_2_num_tenants";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options =
+      ParseBenchArgs(argc, argv, bench_name,
+                     kJobsFlag | kSolverJobsFlag | kSeedFlag);
   BenchReport report(bench_name, options);
 
   QueryCatalog catalog = QueryCatalog::Default();

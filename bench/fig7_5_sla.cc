@@ -32,7 +32,9 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "fig7_5_sla";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options =
+      ParseBenchArgs(argc, argv, bench_name,
+                     kJobsFlag | kSolverJobsFlag | kWarmStartFlag | kSeedFlag);
   BenchReport report(bench_name, options);
 
   QueryCatalog catalog = QueryCatalog::Default();

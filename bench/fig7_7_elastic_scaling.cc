@@ -115,7 +115,8 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "fig7_7_elastic_scaling";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options = ParseBenchArgs(argc, argv, bench_name,
+                                        kJobsFlag | kSeedFlag);
   options.seed = options.SeedOr(4242);  // canonical figure seed
   BenchReport report(bench_name, options);
 

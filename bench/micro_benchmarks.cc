@@ -40,9 +40,12 @@ void BM_LevelSetEvaluateAdd(benchmark::State& state) {
   auto tenants = MakeOfficeHourTenants(20, num_epochs, 7);
   GroupLevelSet group(num_epochs);
   for (size_t i = 0; i < 10; ++i) group.Add(tenants[i]);
+  GroupLevelSet::EvalScratch scratch;
   size_t next = 10;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(group.EvaluateAdd(tenants[next]));
+    group.EvaluateAddInto(tenants[next], &scratch);
+    benchmark::DoNotOptimize(scratch.pops.data());
+    benchmark::ClobberMemory();
     next = next == 19 ? 10 : next + 1;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
@@ -113,11 +116,13 @@ void BM_ArgminCandidate(benchmark::State& state) {
   GroupLevelSet group(num_epochs);
   for (size_t i = 0; i < 10; ++i) group.Add(tenants[i]);
   std::vector<size_t> incumbent = group.EvaluateAdd(tenants[10]);
+  GroupLevelSet::ColumnLookup lookup;
+  lookup.Sync(group);
   GroupLevelSet::EvalScratch scratch;
   size_t next = 11;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        group.EvaluateAddCompare(tenants[next], incumbent, &scratch));
+    benchmark::DoNotOptimize(group.EvaluateAddCompare(tenants[next], incumbent,
+                                                      lookup, &scratch));
     next = next == 19 ? 11 : next + 1;
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

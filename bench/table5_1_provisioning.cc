@@ -18,7 +18,8 @@ int main(int argc, char** argv) {
   using namespace thrifty::bench;
 
   const std::string bench_name = "table5_1_provisioning";
-  BenchOptions options = ParseBenchArgs(argc, argv, bench_name);
+  BenchOptions options = ParseBenchArgs(argc, argv, bench_name,
+                                        kJobsFlag | kSeedFlag);
   BenchReport report(bench_name, options);
 
   ProvisioningModel model;

@@ -41,6 +41,8 @@ ActivityVector ActivityVector::FromWords(TenantId tenant_id,
   for (size_t i = 0; i < v.word_bits_.size(); ++i) {
     assert(v.word_bits_[i] != 0);
     assert(i == 0 || v.word_indices_[i - 1] < v.word_indices_[i]);
+    // GroupLevelSet::ColumnLookup indexes its horizon table by word.
+    assert(v.word_indices_[i] < (num_epochs + 63) / 64);
   }
   v.active_epochs_ = simd::SpanPopcount(v.word_bits_.data(),
                                         v.word_bits_.size());

@@ -36,9 +36,9 @@ class ActivityVector {
   static ActivityVector FromBitmap(TenantId tenant_id,
                                    const DynamicBitmap& bits);
 
-  /// \brief Adopts already-sparse word storage (ascending word indices,
-  /// every word nonzero) — the zero-copy sink of the streamed epochization
-  /// pipeline (activity/streamed_epochizer.h).
+  /// \brief Adopts already-sparse word storage (ascending word indices
+  /// below ceil(num_epochs/64), every word nonzero) — the zero-copy sink of
+  /// the streamed epochization pipeline (activity/streamed_epochizer.h).
   static ActivityVector FromWords(TenantId tenant_id, size_t num_epochs,
                                   std::vector<uint32_t> word_indices,
                                   std::vector<uint64_t> word_bits);

@@ -1,7 +1,10 @@
 #include "activity/level_set.h"
 
+#include <atomic>
 #include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -15,16 +18,24 @@ constexpr uint32_t kNoOldPos = std::numeric_limits<uint32_t>::max();
 inline size_t Pop(uint64_t word) {
   return static_cast<size_t>(std::popcount(word));
 }
+
+/// A process-wide unique GroupLevelSet state stamp (never 0).
+uint64_t NextStamp() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1);
+}
 }  // namespace
 
-/// Candidate-evaluation plan over the height-sorted column intersection.
+/// Candidate-evaluation plan over the candidate's height-sorted columns.
 ///
-/// Columns matched between the candidate and the touched index are held in
-/// *descending stored-height* order (stable over word index), so the
-/// columns participating at level m — those with height >= m-1 — are
-/// exactly the prefix [0, CntAt(m-1)), and within it the sub-prefix
-/// [0, CntAt(m)) still has a stored word at level m while the tail
-/// [CntAt(m), CntAt(m-1)) sits exactly one level above its column top
+/// Each candidate word is resolved to its column; a word outside the
+/// touched index counts as a height-zero column, which evaluates exactly
+/// like one (the candidate lifts it into level 1 and nowhere else). The
+/// columns are held in *descending stored-height* order (stable over word
+/// index), so the columns participating at level m — those with height
+/// >= m-1 — are exactly the prefix [0, CntAt(m-1)), and within it the
+/// sub-prefix [0, CntAt(m)) still has a stored word at level m while the
+/// tail [CntAt(m), CntAt(m-1)) sits exactly one level above its column top
 /// (old word zero). Level m's stored words across the prefix are gathered
 /// once, on demand, into the contiguous `rows[m]`, which turns every level
 /// body into a span kernel over parallel arrays (simd::OrAndPopcountDelta
@@ -32,13 +43,12 @@ inline size_t Pop(uint64_t word) {
 /// permutes commutative integer sums, so every popcount — and therefore
 /// every solver fingerprint — is unchanged.
 struct GroupLevelSet::EvalPlan {
-  uint64_t* cw = nullptr;        // matched candidate words, height-desc
+  uint64_t* cw = nullptr;        // candidate words, height-desc
   uint32_t* cstart = nullptr;    // arena column starts, parallel to cw
-  uint32_t* cnt = nullptr;       // cnt[m] = #matched columns with h >= m
+  uint32_t* cnt = nullptr;       // cnt[m] = #columns with h >= m
   uint64_t** rows = nullptr;     // rows[m] = gathered level-m words
-  uint32_t n = 0;                // matched column count (== cnt[0])
-  uint32_t maxh = 0;             // tallest matched column
-  size_t outside_pop = 0;        // candidate bits outside the touched index
+  uint32_t n = 0;                // candidate word count (== cnt[0])
+  uint32_t maxh = 0;             // tallest column
 
   uint32_t CntAt(size_t m) const {
     return m <= maxh ? cnt[m] : 0;
@@ -59,7 +69,24 @@ struct GroupLevelSet::EvalPlan {
   }
 };
 
-GroupLevelSet::GroupLevelSet(size_t num_epochs) : num_epochs_(num_epochs) {}
+GroupLevelSet::GroupLevelSet(size_t num_epochs)
+    : num_epochs_(num_epochs), stamp_(NextStamp()) {}
+
+void GroupLevelSet::ColumnLookup::Sync(const GroupLevelSet& group) {
+  if (stamp_ == group.stamp_) return;
+  const size_t words = (group.num_epochs_ + 63) / 64;
+  if (column_.size() != words) {
+    column_.assign(words, Span{});
+  } else {
+    for (uint32_t w : filled_) column_[w] = Span{};
+  }
+  filled_ = group.touched_;
+  const std::vector<uint32_t>& starts = group.col_start_;
+  for (size_t p = 0; p < filled_.size(); ++p) {
+    column_[filled_[p]] = Span{starts[p], starts[p + 1] - starts[p]};
+  }
+  stamp_ = group.stamp_;
+}
 
 void GroupLevelSet::MergeTouched(const std::vector<uint32_t>& widx,
                                  std::vector<uint32_t>* cand_pos) {
@@ -110,7 +137,8 @@ void GroupLevelSet::MergeTouched(const std::vector<uint32_t>& widx,
   touched_ = std::move(merged);
 }
 
-void GroupLevelSet::BuildPlan(const ActivityVector& v, EvalScratch* scratch,
+void GroupLevelSet::BuildPlan(const ActivityVector& v,
+                              const ColumnLookup* lookup, EvalScratch* scratch,
                               EvalPlan* plan) const {
   const auto& widx = v.word_indices();
   const auto& wbits = v.word_bits();
@@ -119,58 +147,67 @@ void GroupLevelSet::BuildPlan(const ActivityVector& v, EvalScratch* scratch,
 
   // One capacity reservation covers every Alloc of this candidate's cycle,
   // so spans handed out below are never invalidated by growth. In 8-byte
-  // words: the W-sized temporaries and sorted arrays take at most
-  // 4.5 W + 3 (three uint64 arrays and three uint32 arrays), the per-level
-  // arrays at most 2 L + 4, and the lazily gathered rows at most the whole
-  // column arena.
+  // words: the W-sized arrays take at most 2.5 W + 3 (one uint64 array and
+  // three uint32 arrays), the per-level arrays at most 2 L + 4, and the
+  // lazily gathered rows at most the whole column arena.
   EvalArena& arena = scratch->arena;
   arena.Reset();
-  arena.Reserve(5 * W + 2 * (L + 2) + arena_.size() + 16);
+  arena.Reserve(3 * W + 2 * (L + 2) + arena_.size() + 16);
 
-  // Pass 1: two-pointer merge of the candidate's nonzero words with the
-  // touched index, in word order. Matches stage their (height, start,
-  // word) triples; misses stage their words for one fused span popcount.
-  uint32_t* tmp_h = arena.Alloc<uint32_t>(W);
-  uint32_t* tmp_start = arena.Alloc<uint32_t>(W);
-  uint64_t* tmp_cw = arena.Alloc<uint64_t>(W);
-  uint64_t* outside = arena.Alloc<uint64_t>(W);
-  uint32_t n = 0;
-  uint32_t n_out = 0;
-  uint32_t maxh = 0;
-  size_t i = 0;
-  for (size_t j = 0; j < W; ++j) {
-    while (i < touched_.size() && touched_[i] < widx[j]) ++i;
-    if (i < touched_.size() && touched_[i] == widx[j]) {
-      uint32_t h = col_start_[i + 1] - col_start_[i];
-      tmp_h[n] = h;
-      tmp_start[n] = col_start_[i];
-      tmp_cw[n] = wbits[j];
-      if (h > maxh) maxh = h;
-      ++n;
-    } else {
-      outside[n_out++] = wbits[j];
+  // Pass 1: each candidate word's column (start, height), then the height
+  // histogram (no column is taller than the group's L levels).
+  uint32_t* start = arena.Alloc<uint32_t>(W);
+  uint32_t* height = arena.Alloc<uint32_t>(W);
+  if (lookup != nullptr) {
+    // Table lookup, O(W): the table was synced once for this group state
+    // and is shared by every candidate scanned against it.
+    if (lookup->stamp_ != stamp_) {
+      std::fprintf(stderr,
+                   "GroupLevelSet: ColumnLookup is not synced to this group "
+                   "state\n");
+      std::abort();
+    }
+    const ColumnLookup::Span* span = lookup->column_.data();
+    for (size_t j = 0; j < W; ++j) {
+      start[j] = span[widx[j]].start;
+      height[j] = span[widx[j]].height;
+    }
+  } else {
+    // One-shot: a two-pointer merge with the touched index, O(T + W) —
+    // cheaper than syncing a table that would serve a single candidate.
+    const size_t T = touched_.size();
+    size_t i = 0;
+    for (size_t j = 0; j < W; ++j) {
+      while (i < T && touched_[i] < widx[j]) ++i;
+      const bool hit = i < T && touched_[i] == widx[j];
+      start[j] = hit ? col_start_[i] : 0;
+      height[j] = hit ? col_start_[i + 1] - col_start_[i] : 0;
     }
   }
-  plan->n = n;
+  uint32_t* cnt = arena.Alloc<uint32_t>(L + 2);
+  std::memset(cnt, 0, (L + 2) * sizeof(uint32_t));
+  for (size_t j = 0; j < W; ++j) {
+    assert(height[j] <= L);
+    ++cnt[height[j]];
+  }
+  uint32_t maxh = static_cast<uint32_t>(L);
+  while (maxh > 0 && cnt[maxh] == 0) --maxh;
+  plan->n = static_cast<uint32_t>(W);
   plan->maxh = maxh;
-  plan->outside_pop = simd::SpanPopcount(outside, n_out);
 
   // Pass 2: counting sort by height, descending, stable over word order.
   // cnt[m] = #columns with height >= m doubles as both the sort offsets
-  // and the per-level prefix lengths the eval loop needs.
-  uint32_t* cnt = arena.Alloc<uint32_t>(maxh + 2);
-  std::memset(cnt, 0, (maxh + 2) * sizeof(uint32_t));
-  for (uint32_t k = 0; k < n; ++k) ++cnt[tmp_h[k]];
-  // Suffix-sum the histogram: after this, cnt[m] counts h >= m.
+  // and the per-level prefix lengths the eval loop needs. Suffix-sum the
+  // histogram: after this, cnt[m] counts h >= m.
   for (size_t m = maxh + 1; m-- > 0;) cnt[m] += cnt[m + 1];
   uint32_t* off = arena.Alloc<uint32_t>(maxh + 1);
   for (size_t m = 0; m <= maxh; ++m) off[m] = cnt[m + 1];
-  uint64_t* cw = arena.Alloc<uint64_t>(n);
-  uint32_t* cstart = arena.Alloc<uint32_t>(n);
-  for (uint32_t k = 0; k < n; ++k) {
-    uint32_t p = off[tmp_h[k]]++;
-    cw[p] = tmp_cw[k];
-    cstart[p] = tmp_start[k];
+  uint64_t* cw = arena.Alloc<uint64_t>(W);
+  uint32_t* cstart = arena.Alloc<uint32_t>(W);
+  for (size_t j = 0; j < W; ++j) {
+    uint32_t p = off[height[j]]++;
+    cw[p] = wbits[j];
+    cstart[p] = start[j];
   }
   plan->cw = cw;
   plan->cstart = cstart;
@@ -205,6 +242,7 @@ void GroupLevelSet::SpliceColumns(const std::vector<uint32_t>& cand_pos,
 
 void GroupLevelSet::Add(const ActivityVector& v) {
   assert(v.num_epochs() == num_epochs_);
+  stamp_ = NextStamp();
   ++num_tenants_;
   const auto& widx = v.word_indices();
   const auto& wbits = v.word_bits();
@@ -277,6 +315,7 @@ Status GroupLevelSet::Remove(const ActivityVector& v) {
   if (num_tenants_ == 0) {
     return Status::FailedPrecondition("group is empty");
   }
+  stamp_ = NextStamp();
   --num_tenants_;
   const auto& widx = v.word_indices();
   const auto& wbits = v.word_bits();
@@ -373,10 +412,11 @@ std::vector<size_t> GroupLevelSet::EvaluateAdd(const ActivityVector& v) const {
 }
 
 int GroupLevelSet::EvalCore(const ActivityVector& v,
+                            const ColumnLookup* lookup,
                             const std::vector<size_t>* incumbent,
                             EvalScratch* scratch) const {
   EvalPlan plan;
-  BuildPlan(v, scratch, &plan);
+  BuildPlan(v, lookup, scratch, &plan);
   const size_t num_levels = pops_.size();
   scratch->pops.assign(num_levels + 1, 0);
   // Levels are independent of each other, so they can be computed top-down,
@@ -396,11 +436,11 @@ int GroupLevelSet::EvalCore(const ActivityVector& v,
     size_t base = m <= num_levels ? pops_[m - 1] : 0;
     size_t delta;
     if (m == 1) {
-      // L_0 is all-ones, so the joining term is C itself. Words outside
-      // the touched index have zero count, so the candidate lifts them
-      // straight into level 1 and nowhere else.
+      // L_0 is all-ones, so the joining term is C itself. Height-zero
+      // columns (and words outside the touched index) have zero count, so
+      // the candidate lifts them straight into level 1 and nowhere else.
       const uint32_t n1 = plan.CntAt(1);
-      delta = plan.outside_pop;
+      delta = 0;
       if (n1 > 0) {
         delta += simd::OrPopcountDelta(plan.Row(1, arena_, &scratch->arena),
                                        plan.cw, n1);
@@ -442,16 +482,24 @@ int GroupLevelSet::EvalCore(const ActivityVector& v,
 void GroupLevelSet::EvaluateAddInto(const ActivityVector& v,
                                     EvalScratch* scratch) const {
   assert(v.num_epochs() == num_epochs_);
-  EvalCore(v, nullptr, scratch);
+  EvalCore(v, nullptr, nullptr, scratch);
+}
+
+void GroupLevelSet::EvaluateAddInto(const ActivityVector& v,
+                                    const ColumnLookup& lookup,
+                                    EvalScratch* scratch) const {
+  assert(v.num_epochs() == num_epochs_);
+  EvalCore(v, &lookup, nullptr, scratch);
 }
 
 int GroupLevelSet::EvaluateAddCompare(const ActivityVector& v,
                                       const std::vector<size_t>& incumbent,
+                                      const ColumnLookup& lookup,
                                       EvalScratch* scratch) const {
   assert(v.num_epochs() == num_epochs_);
   assert(!incumbent.empty());
   assert(incumbent.size() <= pops_.size() + 1);
-  return EvalCore(v, &incumbent, scratch);
+  return EvalCore(v, &lookup, &incumbent, scratch);
 }
 
 double GroupLevelSet::TtpFromPopcounts(

@@ -11,10 +11,16 @@
 //
 //  * Evaluating "what happens if tenant C joins?" is pure word-parallel
 //    boolean algebra: the new L'_m = L_m | (L_{m-1} & C), and only C's
-//    nonzero words can change, so one candidate costs
-//    O(levels x |C's nonzero words|) word operations instead of a pass over
-//    all epochs. This is what keeps the O(g^2)-search heuristic fast at
-//    thousands of tenants.
+//    nonzero words can change. A scan of many candidates against one group
+//    state resolves each of C's words to its column by one lookup in a
+//    word -> column table (ColumnLookup, synced once per group state and
+//    shared by every candidate scanned against it), so one candidate costs
+//    O(levels x |C's nonzero words|) word operations — independent of both
+//    the horizon and the group's touched index. This is what keeps the
+//    O(g^2)-search heuristic fast at thousands of tenants. A one-shot
+//    evaluation (no table) merges C's words with the touched index
+//    instead, O(touched + |C's nonzero words|), which is cheaper than
+//    syncing a table for a single candidate.
 //
 // Storage is *sparse over the touched-word index*: every level can only
 // have set bits inside words where at least one member is active, so the
@@ -22,10 +28,10 @@
 // nonzero word indices instead of as full d-bit bitmaps. Tenant activity is
 // bursty (office-hour blocks), so at fine epoch sizes (the paper sweeps E
 // down to 0.1 s — millions of epochs) the touched set is a small fraction
-// of the horizon and the footprint shrinks accordingly; all operations
-// iterate only the intersection of the candidate's nonzero words with the
-// touched set. The touched index never shrinks on Remove (it stays an
-// upper bound) and is rebuilt only when the group drains to zero activity.
+// of the horizon and the footprint shrinks accordingly. Add and Remove
+// cost O(touched + candidate words) (column starts shift). The touched
+// index never shrinks on Remove (it stays an upper bound) and is rebuilt
+// only when the group drains to zero activity.
 //
 // Levels are nested (L_m is a subset of L_{m-1}), so within one touched
 // column the nonzero level words form a *prefix*: if level m's word is
@@ -83,14 +89,49 @@ class GroupLevelSet {
   /// m = 1..MaxActive() (index 0 holds m=1).
   std::vector<double> ExactLevelFractions() const;
 
+  /// \brief Word -> column table for one group state: entry w locates the
+  /// touched column of horizon word w in the column arena (start, height);
+  /// a word outside the touched index reads as an empty column, which is
+  /// exactly how it evaluates. It turns finding a candidate's columns into
+  /// one O(1) lookup per candidate word. The table holds ceil(d/64) entries
+  /// of 8 bytes — horizon-sized — so it lives with the scan, not in the
+  /// group: the two-step growth loop syncs one table per growth step and
+  /// hands it read-only to every scan shard. Syncing costs O(touched) and
+  /// pays off only when many candidates are scanned against one state;
+  /// solvers that evaluate one candidate per state (FFD, the exact search)
+  /// use the table-free one-shot forms. The groups themselves stay sparse
+  /// (MemoryBytes() excludes the table).
+  class ColumnLookup {
+   public:
+    /// \brief Points the table at `group`'s current state. A no-op when it
+    /// already is; otherwise clears the previously filled entries and fills
+    /// the group's touched index — O(previous + current touched words).
+    /// Only a change of horizon costs O(d/64) (the table is re-allocated).
+    void Sync(const GroupLevelSet& group);
+
+   private:
+    friend class GroupLevelSet;
+    /// One column's nonzero level prefix: arena_[start, start + height).
+    struct Span {
+      uint32_t start = 0;
+      uint32_t height = 0;
+    };
+    /// Per horizon word: its column, or an empty Span outside the index.
+    std::vector<Span> column_;
+    /// The words whose entry is filled (the synced touched index).
+    std::vector<uint32_t> filled_;
+    /// Stamp of the synced group state; 0 is never issued.
+    uint64_t stamp_ = 0;
+  };
+
   /// \brief Reusable scratch state for allocation-free candidate
   /// evaluation: the would-be popcount vector plus a bump-pointer arena
-  /// holding the per-candidate evaluation plan (the candidate/touched
-  /// intersection in height-sorted order and the lazily gathered level
-  /// rows the SIMD kernels consume — see EvalCore in level_set.cc). One
-  /// instance per scanning thread; the arena is Reset() per candidate and
-  /// retains its block, so the argmin inner loop performs no heap
-  /// allocation and its working set stays cache-resident.
+  /// holding the per-candidate evaluation plan (the candidate's columns in
+  /// height-sorted order and the lazily gathered level rows the SIMD
+  /// kernels consume — see EvalCore in level_set.cc). One instance per
+  /// scanning thread; the arena is Reset() per candidate and retains its
+  /// block, so the argmin inner loop performs no heap allocation and its
+  /// working set stays cache-resident.
   struct EvalScratch {
     /// Would-be level popcounts, in the EvaluateAdd layout.
     std::vector<size_t> pops;
@@ -102,11 +143,20 @@ class GroupLevelSet {
   ///
   /// Returns the would-be popcounts of levels 1..MaxActive()+1 (the last
   /// entry is the possibly-new top level). Entry m-1 is the number of epochs
-  /// that would have >= m active tenants.
+  /// that would have >= m active tenants. One-shot: resolves v's words by
+  /// merging them with the touched index, O(touched + |v's nonzero words|).
   std::vector<size_t> EvaluateAdd(const ActivityVector& v) const;
 
-  /// \brief EvaluateAdd into `scratch->pops`, reusing its buffers.
+  /// \brief One-shot EvaluateAdd into `scratch->pops`, reusing its
+  /// buffers.
   void EvaluateAddInto(const ActivityVector& v, EvalScratch* scratch) const;
+
+  /// \brief EvaluateAddInto with v's words resolved through `lookup`,
+  /// O(|v's nonzero words|) — the form for scanning many candidates against
+  /// one group state. `lookup` must be synced to this group's current state
+  /// (aborts otherwise).
+  void EvaluateAddInto(const ActivityVector& v, const ColumnLookup& lookup,
+                       EvalScratch* scratch) const;
 
   /// \brief Pruned EvaluateAdd-and-compare against an incumbent outcome.
   ///
@@ -121,9 +171,11 @@ class GroupLevelSet {
   /// EvaluateAdd) only when the result is <= 0.
   ///
   /// `incumbent` must be an EvaluateAdd outcome against this same group
-  /// state (so incumbent.size() <= MaxActive() + 1) and non-empty.
+  /// state (so incumbent.size() <= MaxActive() + 1) and non-empty, and
+  /// `lookup` must be synced to that state (aborts otherwise).
   int EvaluateAddCompare(const ActivityVector& v,
                          const std::vector<size_t>& incumbent,
+                         const ColumnLookup& lookup,
                          EvalScratch* scratch) const;
 
   /// \brief TTP(r) computed from EvaluateAdd popcounts.
@@ -152,19 +204,20 @@ class GroupLevelSet {
   void MergeTouched(const std::vector<uint32_t>& widx,
                     std::vector<uint32_t>* cand_pos);
 
-  /// The per-candidate evaluation plan: the candidate/touched column
-  /// intersection sorted by stored height (descending), so each level's
+  /// The per-candidate evaluation plan: the candidate's columns sorted by
+  /// stored height (descending), so each level's
   /// participating columns form a prefix, plus the lazily gathered
   /// contiguous level rows the SIMD kernels run over. All arrays live in
   /// the scratch arena. Defined in level_set.cc.
   struct EvalPlan;
 
-  /// Builds `plan` for evaluating `v` against this group (intersects the
-  /// candidate's nonzero words with the touched index, counting-sorts the
-  /// matches by column height, and popcounts the words outside the index
-  /// — those can only contribute to level 1).
-  void BuildPlan(const ActivityVector& v, EvalScratch* scratch,
-                 EvalPlan* plan) const;
+  /// Builds `plan` for evaluating `v` against this group: resolves each
+  /// candidate word to its column — through `lookup` when given, else by
+  /// merging with the touched index — and counting-sorts the words by
+  /// column height. O(|v's nonzero words| + tallest column), plus
+  /// O(touched) without a lookup.
+  void BuildPlan(const ActivityVector& v, const ColumnLookup* lookup,
+                 EvalScratch* scratch, EvalPlan* plan) const;
 
   /// Shared body of EvaluateAddInto / EvaluateAddCompare: computes the
   /// would-be level popcounts top-down into scratch->pops (level rows
@@ -173,7 +226,8 @@ class GroupLevelSet {
   /// under the Fig 5.3 total order, returning +1 as soon as a level is
   /// strictly worse (pops left incomplete) and -1/0 otherwise; with a null
   /// incumbent it returns 0 and always completes pops.
-  int EvalCore(const ActivityVector& v, const std::vector<size_t>* incumbent,
+  int EvalCore(const ActivityVector& v, const ColumnLookup* lookup,
+               const std::vector<size_t>* incumbent,
                EvalScratch* scratch) const;
 
   /// Rewrites the candidate columns listed in `cand_pos` (sorted) with the
@@ -185,6 +239,10 @@ class GroupLevelSet {
                      const std::vector<uint32_t>& new_heights);
 
   size_t num_epochs_;
+  /// Unique per state: reissued by every Add and Remove, so a ColumnLookup
+  /// synced to an earlier state (or to another group) is never mistaken
+  /// for a current one.
+  uint64_t stamp_;
   int num_tenants_ = 0;
   /// Sorted word indices where any member has activity.
   std::vector<uint32_t> touched_;

@@ -212,8 +212,8 @@ inline void AndNotBcastStoreDelta(const uint64_t* old_w,
 /// \brief Bump-pointer arena for the candidate-evaluation scratch state.
 ///
 /// One arena lives in each solver shard's EvalScratch; every candidate
-/// evaluation Reset()s it and carves its working arrays (matched-column
-/// index, height-sorted views, lazily gathered level rows) out of one
+/// evaluation Reset()s it and carves its working arrays (per-word column
+/// heights, height-sorted views, lazily gathered level rows) out of one
 /// contiguous block, so the argmin inner loop performs no heap allocation
 /// and its whole working set stays cache-resident. Reserve() must be called
 /// with an upper bound before the per-candidate Alloc()s — the block never

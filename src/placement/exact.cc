@@ -40,6 +40,16 @@ struct SharedSearch {
   std::vector<std::vector<TenantGroupResult>> slots;  // slots[s]: subtree s
 };
 
+/// Whether adding `v` to `levels` keeps the group within the SLA (a
+/// one-shot evaluation: the next one is against another group state).
+bool Fits(const PackingProblem& problem, const GroupLevelSet& levels,
+          const ActivityVector& v, GroupLevelSet::EvalScratch* scratch) {
+  levels.EvaluateAddInto(v, scratch);
+  return levels.TtpFromPopcounts(scratch->pops, problem.replication_factor) +
+             1e-12 >=
+         problem.sla_fraction;
+}
+
 /// Canonical item order: decreasing node count so group max_nodes is fixed
 /// by the first member, which tightens the incremental cost.
 std::vector<const PackingItem*> CanonicalOrder(const PackingProblem& problem) {
@@ -144,17 +154,13 @@ class SubtreeSearch {
       return;
     }
     const PackingItem* item = order_[index];
-    const int r = problem_.replication_factor;
 
     // Try each open group. Deeper recursion pushes (and pops) new groups on
     // open_, so index-based access is required: references into the vector
     // do not survive reallocation.
     const size_t num_open = open_.size();
     for (size_t gi = 0; gi < num_open; ++gi) {
-      std::vector<size_t> pops =
-          open_[gi].levels->EvaluateAdd(*item->activity);
-      if (open_[gi].levels->TtpFromPopcounts(pops, r) + 1e-12 <
-          problem_.sla_fraction) {
+      if (!Fits(problem_, *open_[gi].levels, *item->activity, &scratch_)) {
         continue;
       }
       // Items arrive in decreasing node order, so max_nodes cannot grow.
@@ -186,6 +192,7 @@ class SubtreeSearch {
   const size_t subtree_;
   SharedSearch* shared_;
   std::vector<OpenGroup> open_;
+  GroupLevelSet::EvalScratch scratch_;
 };
 
 /// Expands the branch-and-bound tree breadth-first — children enumerated in
@@ -197,7 +204,7 @@ std::vector<std::vector<int>> BuildFrontier(
     const PackingProblem& problem,
     const std::vector<const PackingItem*>& order, size_t target,
     int64_t budget, std::atomic<int64_t>* visited, bool* exhausted) {
-  const int r = problem.replication_factor;
+  GroupLevelSet::EvalScratch scratch;
   std::vector<std::vector<int>> frontier(1);
   size_t depth = 0;
   while (frontier.size() < target && depth < order.size()) {
@@ -223,10 +230,7 @@ std::vector<std::vector<int>> BuildFrontier(
         }
       }
       for (size_t gi = 0; gi < open.size(); ++gi) {
-        std::vector<size_t> pops =
-            open[gi].levels->EvaluateAdd(*item->activity);
-        if (open[gi].levels->TtpFromPopcounts(pops, r) + 1e-12 <
-            problem.sla_fraction) {
+        if (!Fits(problem, *open[gi].levels, *item->activity, &scratch)) {
           continue;
         }
         std::vector<int> child = prefix;

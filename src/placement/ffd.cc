@@ -48,11 +48,14 @@ Result<GroupingSolution> SolveFfd(const PackingProblem& problem,
 
   const int r = problem.replication_factor;
   std::vector<OpenBin> bins;
+  // Each (item, bin) evaluation is one-shot — the next one is against a
+  // different bin — so it merges rather than syncing a ColumnLookup.
+  GroupLevelSet::EvalScratch scratch;
   for (const PackingItem* item : order) {
     bool placed = false;
     for (auto& bin : bins) {
-      std::vector<size_t> pops = bin.levels->EvaluateAdd(*item->activity);
-      if (bin.levels->TtpFromPopcounts(pops, r) + 1e-12 >=
+      bin.levels->EvaluateAddInto(*item->activity, &scratch);
+      if (bin.levels->TtpFromPopcounts(scratch.pops, r) + 1e-12 >=
           problem.sla_fraction) {
         bin.levels->Add(*item->activity);
         bin.group.tenant_ids.push_back(item->tenant_id);

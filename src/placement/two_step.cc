@@ -98,13 +98,15 @@ struct BestCandidate {
 };
 
 /// Left-to-right scan of raw slots [lo, hi), skipping tombstones — the
-/// serial argmin, reused verbatim as the per-shard scan. The scratch
-/// buffers are reused across every candidate in the shard (no per-candidate
-/// heap allocation), and a candidate is abandoned as soon as its top-down
-/// partial exact-level counts fall behind the shard incumbent — both
-/// outcome-invisible: the winner and its popcounts equal the plain
+/// serial argmin, reused verbatim as the per-shard scan. `lookup` is the
+/// group's word -> column table, shared read-only by every shard. The
+/// scratch buffers are reused across every candidate in the shard (no
+/// per-candidate heap allocation), and a candidate is abandoned as soon as
+/// its top-down partial exact-level counts fall behind the shard incumbent
+/// — both outcome-invisible: the winner and its popcounts equal the plain
 /// EvaluateAdd + TakesOver scan's.
 void ScanShard(const GroupLevelSet& levels,
+               const GroupLevelSet::ColumnLookup& lookup,
                const std::vector<const PackingItem*>& slots, size_t lo,
                size_t hi, BestCandidate* best,
                GroupLevelSet::EvalScratch* scratch) {
@@ -115,11 +117,11 @@ void ScanShard(const GroupLevelSet& levels,
     if (best->item == nullptr || best->pops.empty()) {
       // No incumbent (or an empty-outcome one): replaced unconditionally,
       // so the candidate needs a full evaluation, not a comparison.
-      levels.EvaluateAddInto(*item->activity, scratch);
+      levels.EvaluateAddInto(*item->activity, lookup, scratch);
       take = true;
     } else {
       int cmp = levels.EvaluateAddCompare(*item->activity, best->pops,
-                                          scratch);
+                                          lookup, scratch);
       take = cmp < 0 || (cmp == 0 && item->tenant_id > best->item->tenant_id);
     }
     if (take) {
@@ -136,6 +138,7 @@ void ScanShard(const GroupLevelSet& levels,
 constexpr size_t kMinShardSlots = 192;
 
 BestCandidate FindBestCandidate(const GroupLevelSet& levels,
+                                const GroupLevelSet::ColumnLookup& lookup,
                                 const CandidateList& remaining,
                                 ThreadPool* pool,
                                 std::vector<GroupLevelSet::EvalScratch>*
@@ -147,12 +150,13 @@ BestCandidate FindBestCandidate(const GroupLevelSet& levels,
   if (shards > span / kMinShardSlots) shards = span / kMinShardSlots;
   if (shards <= 1) {
     BestCandidate best;
-    ScanShard(levels, slots, lo, slots.size(), &best, &(*scratch)[0]);
+    ScanShard(levels, lookup, slots, lo, slots.size(), &best,
+              &(*scratch)[0]);
     return best;
   }
   std::vector<BestCandidate> bests(shards);
   ParallelFor(pool, shards, [&](size_t k) {
-    ScanShard(levels, slots, lo + span * k / shards,
+    ScanShard(levels, lookup, slots, lo + span * k / shards,
               lo + span * (k + 1) / shards, &bests[k], &(*scratch)[k]);
   });
   // Reduce shard winners in ascending shard order with the same update
@@ -225,14 +229,17 @@ size_t RepairSeedGroup(const PackingProblem& problem, GroupLevelSet* levels,
 
 /// Algorithm 2's growth loop: keeps adding the Fig 5.3-best remaining
 /// candidate until the next addition would violate the SLA guarantee, then
-/// closes the group (TTP, max-active, storage gauges).
+/// closes the group (TTP, max-active, storage gauges). Each growth step
+/// re-syncs `lookup` to the grown group once, before its scan.
 void GrowAndClose(const PackingProblem& problem, GroupLevelSet* levels,
                   TenantGroupResult* group, CandidateList* remaining,
-                  ThreadPool* pool,
+                  ThreadPool* pool, GroupLevelSet::ColumnLookup* lookup,
                   std::vector<GroupLevelSet::EvalScratch>* scratch) {
   const int r = problem.replication_factor;
   while (!remaining->Empty()) {
-    BestCandidate best = FindBestCandidate(*levels, *remaining, pool, scratch);
+    lookup->Sync(*levels);
+    BestCandidate best =
+        FindBestCandidate(*levels, *lookup, *remaining, pool, scratch);
     if (levels->TtpFromPopcounts(best.pops, r) + 1e-12 <
         problem.sla_fraction) {
       break;  // adding T_best would violate P; start a new tenant-group
@@ -307,13 +314,15 @@ InitialGroupResult SolveInitialGroup(
   }
 
   CandidateList remaining(std::move(members));
+  GroupLevelSet::ColumnLookup lookup;
   std::vector<GroupLevelSet::EvalScratch> scratch(
       pool == nullptr ? 1 : pool->size() + 1);
 
   // Resume the growth loop on every kept seed group first (in seed order),
   // so a tightened instance can absorb evicted singletons...
   for (auto& [levels, group] : seeded) {
-    GrowAndClose(problem, &levels, &group, &remaining, pool, &scratch);
+    GrowAndClose(problem, &levels, &group, &remaining, pool, &lookup,
+                 &scratch);
     result.groups.push_back(std::move(group));
   }
 
@@ -328,7 +337,8 @@ InitialGroupResult SolveInitialGroup(
     levels.Add(*seed->activity);
     group.tenant_ids.push_back(seed->tenant_id);
 
-    GrowAndClose(problem, &levels, &group, &remaining, pool, &scratch);
+    GrowAndClose(problem, &levels, &group, &remaining, pool, &lookup,
+                 &scratch);
     result.groups.push_back(std::move(group));
   }
   return result;

@@ -2,11 +2,14 @@
 // driving Add/Remove/EvaluateAdd/Ttp/ExactLevelFractions against a dense
 // per-epoch-count reference, including all-zero vectors, single-epoch
 // horizons, and word-boundary (bit 63/64) activity — plus the pruned
-// EvaluateAddCompare against the canonical CompareCandidateLevels order.
+// EvaluateAddCompare against the canonical CompareCandidateLevels order,
+// and one word -> column table (ColumnLookup) reused across every kind of
+// group mutation.
 
 #include "activity/level_set.h"
 
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -135,6 +138,7 @@ TEST_P(SparseDenseEquivalence, RandomAddsRemovesAndEvaluations) {
     GroupLevelSet g(num_epochs);
     DenseReference ref(num_epochs);
     std::vector<bool> in_group(pool.size(), false);
+    GroupLevelSet::ColumnLookup lookup;
     GroupLevelSet::EvalScratch scratch;
 
     for (int op = 0; op < 50; ++op) {
@@ -144,7 +148,8 @@ TEST_P(SparseDenseEquivalence, RandomAddsRemovesAndEvaluations) {
         // with the dense reference *before* the mutation...
         std::vector<size_t> expected = ref.EvaluateAdd(pool[pick]);
         ASSERT_EQ(g.EvaluateAdd(pool[pick]), expected);
-        g.EvaluateAddInto(pool[pick], &scratch);
+        lookup.Sync(g);
+        g.EvaluateAddInto(pool[pick], lookup, &scratch);
         ASSERT_EQ(scratch.pops, expected);
         // ...and match the actual post-add state.
         g.Add(pool[pick]);
@@ -177,6 +182,8 @@ TEST(SparseLevelSetTest, EvaluateAddCompareMatchesCanonicalOrder) {
       for (int t = 0; t < members; ++t) {
         g.Add(pool[rng.NextBounded(pool.size())]);
       }
+      GroupLevelSet::ColumnLookup lookup;
+      lookup.Sync(g);
       GroupLevelSet::EvalScratch scratch;
       for (const auto& incumbent_v : pool) {
         std::vector<size_t> incumbent = g.EvaluateAdd(incumbent_v);
@@ -184,7 +191,7 @@ TEST(SparseLevelSetTest, EvaluateAddCompareMatchesCanonicalOrder) {
         for (const auto& cand : pool) {
           std::vector<size_t> full = g.EvaluateAdd(cand);
           int expected = CompareCandidateLevels(full, incumbent);
-          int got = g.EvaluateAddCompare(cand, incumbent, &scratch);
+          int got = g.EvaluateAddCompare(cand, incumbent, lookup, &scratch);
           ASSERT_EQ(got < 0, expected < 0);
           ASSERT_EQ(got > 0, expected > 0);
           if (got <= 0) {
@@ -194,6 +201,126 @@ TEST(SparseLevelSetTest, EvaluateAddCompareMatchesCanonicalOrder) {
       }
     }
   }
+}
+
+/// Every evaluation entry point (one-shot and through a lookup), for every
+/// pool vector as candidate (and as incumbent for the compare), against the
+/// dense reference — through the caller's shared lookup and scratch, synced
+/// first.
+void ExpectEvaluationsMatch(const GroupLevelSet& g, const DenseReference& ref,
+                            const std::vector<ActivityVector>& pool,
+                            GroupLevelSet::ColumnLookup* lookup,
+                            GroupLevelSet::EvalScratch* scratch) {
+  lookup->Sync(g);
+  for (const auto& cand : pool) {
+    const std::vector<size_t> expected = ref.EvaluateAdd(cand);
+    ASSERT_EQ(g.EvaluateAdd(cand), expected);
+    g.EvaluateAddInto(cand, scratch);
+    ASSERT_EQ(scratch->pops, expected);
+    g.EvaluateAddInto(cand, *lookup, scratch);
+    ASSERT_EQ(scratch->pops, expected);
+    for (const auto& incumbent_v : pool) {
+      const std::vector<size_t> incumbent = ref.EvaluateAdd(incumbent_v);
+      if (incumbent.empty()) continue;
+      const int want = CompareCandidateLevels(expected, incumbent);
+      const int got = g.EvaluateAddCompare(cand, incumbent, *lookup, scratch);
+      ASSERT_EQ(got < 0, want < 0);
+      ASSERT_EQ(got > 0, want > 0);
+      if (got <= 0) {
+        ASSERT_EQ(scratch->pops, expected);
+      }
+    }
+  }
+}
+
+// One lookup and one scratch serve a group through adds (which insert
+// columns mid-index and shift positions), removes, a drain to empty and a
+// refill (which rebuilds the touched index), and then a second group built
+// at the same address. A table that missed any of these state changes would
+// resolve candidate words to the wrong columns and fail the comparison.
+TEST(SparseLevelSetTest, ColumnLookupFollowsEveryMutation) {
+  for (size_t num_epochs : {64u, 200u, 1000u}) {
+    Rng rng(num_epochs * 7919 + 5);
+    auto pool = MakePool(num_epochs, &rng);
+    GroupLevelSet::ColumnLookup lookup;
+    GroupLevelSet::EvalScratch scratch;
+    std::optional<GroupLevelSet> g(std::in_place, num_epochs);
+    DenseReference ref(num_epochs);
+    auto expect_match = [&](const DenseReference& reference) {
+      ExpectEvaluationsMatch(*g, reference, pool, &lookup, &scratch);
+    };
+    ASSERT_NO_FATAL_FAILURE(expect_match(ref));
+
+    // Adds in pool order, the sparse engine against the reference.
+    const size_t half = pool.size() / 2;
+    for (size_t i = 0; i < half; ++i) {
+      g->Add(pool[i]);
+      ref.Add(pool[i]);
+      ASSERT_NO_FATAL_FAILURE(expect_match(ref));
+    }
+    // Removes, leaving one member.
+    for (size_t i = 1; i < half; ++i) {
+      ASSERT_TRUE(g->Remove(pool[i]).ok());
+      ref.Remove(pool[i]);
+      ASSERT_NO_FATAL_FAILURE(expect_match(ref));
+    }
+    // Drain to empty, then refill from the other half of the pool.
+    ASSERT_TRUE(g->Remove(pool[0]).ok());
+    ref.Remove(pool[0]);
+    ASSERT_EQ(g->touched_words(), 0u);
+    ASSERT_NO_FATAL_FAILURE(expect_match(ref));
+    for (size_t i = pool.size(); i-- > half;) {
+      g->Add(pool[i]);
+      ref.Add(pool[i]);
+      ASSERT_NO_FATAL_FAILURE(expect_match(ref));
+    }
+
+    // A second group in the same storage, with different members.
+    const GroupLevelSet* address = &*g;
+    g.reset();
+    g.emplace(num_epochs);
+    ASSERT_EQ(&*g, address);
+    DenseReference second(num_epochs);
+    for (size_t i = 1; i < pool.size(); i += 2) {
+      g->Add(pool[i]);
+      second.Add(pool[i]);
+    }
+    ASSERT_NO_FATAL_FAILURE(expect_match(second));
+  }
+}
+
+// A lookup that is not synced to the group's current state — never synced,
+// synced before the latest mutation, or synced to another group of the
+// same horizon — aborts the evaluation instead of resolving words to stale
+// columns.
+TEST(SparseLevelSetDeathTest, StaleColumnLookupAborts) {
+  const size_t num_epochs = 1000;
+  std::vector<ActivityVector> pool;
+  for (TenantId id = 0; id < 3; ++id) {
+    DynamicBitmap bits(num_epochs);
+    bits.SetRange(100 * id, 100 * id + 300);
+    pool.push_back(ActivityVector::FromBitmap(id, bits));
+  }
+  GroupLevelSet g(num_epochs);
+  GroupLevelSet other(num_epochs);
+  g.Add(pool[0]);
+  other.Add(pool[0]);
+  GroupLevelSet::EvalScratch scratch;
+  const std::vector<size_t> incumbent = g.EvaluateAdd(pool[1]);
+  ASSERT_FALSE(incumbent.empty());
+
+  GroupLevelSet::ColumnLookup never_synced;
+  EXPECT_DEATH(g.EvaluateAddInto(pool[1], never_synced, &scratch),
+               "not synced");
+  GroupLevelSet::ColumnLookup before_add;
+  before_add.Sync(g);
+  g.Add(pool[2]);
+  EXPECT_DEATH(g.EvaluateAddInto(pool[1], before_add, &scratch),
+               "not synced");
+  GroupLevelSet::ColumnLookup of_other;
+  of_other.Sync(other);
+  EXPECT_DEATH(g.EvaluateAddCompare(pool[1], incumbent, of_other, &scratch),
+               "not synced");
 }
 
 TEST(SparseLevelSetTest, MemoryBytesShrinkForSparseActivity) {
