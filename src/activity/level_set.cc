@@ -1,5 +1,6 @@
 #include "activity/level_set.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -26,32 +27,47 @@ uint64_t NextStamp() {
 }
 }  // namespace
 
-/// Candidate-evaluation plan over the candidate's height-sorted columns.
+/// Candidate-evaluation plan over the candidate's columns.
 ///
 /// Each candidate word is resolved to its column; a word outside the
 /// touched index counts as a height-zero column, which evaluates exactly
-/// like one (the candidate lifts it into level 1 and nowhere else). The
-/// columns are held in *descending stored-height* order (stable over word
-/// index), so the columns participating at level m — those with height
+/// like one (the candidate lifts it into level 1 and nowhere else).
+///
+/// A full plan (floor 0) holds the columns in *descending stored-height*
+/// order, so the columns participating at level m — those with height
 /// >= m-1 — are exactly the prefix [0, CntAt(m-1)), and within it the
 /// sub-prefix [0, CntAt(m)) still has a stored word at level m while the
 /// tail [CntAt(m), CntAt(m-1)) sits exactly one level above its column top
 /// (old word zero). Level m's stored words across the prefix are gathered
 /// once, on demand, into the contiguous `rows[m]`, which turns every level
 /// body into a span kernel over parallel arrays (simd::OrAndPopcountDelta
-/// and friends) instead of a ragged pointer chase. Reordering columns only
-/// permutes commutative integer sums, so every popcount — and therefore
-/// every solver fingerprint — is unchanged.
+/// and friends) instead of a ragged pointer chase.
+///
+/// A plan with a height floor f >= 1 holds only the columns at least f
+/// tall — every column the levels above f read — and serves only those
+/// levels. It skips the sort: the columns stay in candidate-word order,
+/// every level's prefix is the whole plan, and a gathered row holds a zero
+/// for each column shorter than its level. A zero old word is exactly how
+/// such a column evaluates (it contributes pop(below & C), or nothing when
+/// `below` is zero too), so the same level bodies serve both layouts. For
+/// the screen's two levels the sort costs more than the padded words it
+/// would spare the kernels (EXPERIMENTS.md, "Screen, then plan").
+///
+/// Reordering columns only permutes commutative integer sums, so every
+/// popcount — and therefore every solver fingerprint — is unchanged.
 struct GroupLevelSet::EvalPlan {
-  uint64_t* cw = nullptr;        // candidate words, height-desc
+  uint64_t* cw = nullptr;        // candidate words
   uint32_t* cstart = nullptr;    // arena column starts, parallel to cw
-  uint32_t* cnt = nullptr;       // cnt[m] = #columns with h >= m
+  uint32_t* height = nullptr;    // column heights (floored plans only)
+  uint32_t* cnt = nullptr;       // cnt[m] = #columns with h >= m (full plan)
   uint64_t** rows = nullptr;     // rows[m] = gathered level-m words
-  uint32_t n = 0;                // candidate word count (== cnt[0])
+  uint32_t n = 0;                // kept word count
   uint32_t maxh = 0;             // tallest column
 
+  /// Number of columns level m's bodies run over.
   uint32_t CntAt(size_t m) const {
-    return m <= maxh ? cnt[m] : 0;
+    if (m > maxh) return 0;
+    return height != nullptr ? n : cnt[m];
   }
 
   /// Gathers level m's stored words (m in [1, maxh]) on first use.
@@ -59,10 +75,20 @@ struct GroupLevelSet::EvalPlan {
                       EvalArena* scratch_arena) {
     uint64_t*& row = rows[m];
     if (row == nullptr) {
-      uint32_t count = cnt[m];
+      const uint32_t count = CntAt(m);
       row = scratch_arena->Alloc<uint64_t>(count);
-      for (uint32_t k = 0; k < count; ++k) {
-        row[k] = arena[cstart[k] + m - 1];
+      if (height == nullptr) {
+        for (uint32_t k = 0; k < count; ++k) {
+          row[k] = arena[cstart[k] + m - 1];
+        }
+      } else {
+        // Zero-padded: a column shorter than m reads its top word (always
+        // in range, heights being >= 1) masked to zero.
+        for (uint32_t k = 0; k < count; ++k) {
+          const uint32_t h = height[k];
+          const uint64_t top = arena[cstart[k] + std::min<size_t>(h, m) - 1];
+          row[k] = h >= m ? top : 0;
+        }
       }
     }
     return row;
@@ -138,26 +164,42 @@ void GroupLevelSet::MergeTouched(const std::vector<uint32_t>& widx,
 }
 
 void GroupLevelSet::BuildPlan(const ActivityVector& v,
-                              const ColumnLookup* lookup, EvalScratch* scratch,
-                              EvalPlan* plan) const {
+                              const ColumnLookup* lookup, uint32_t floor,
+                              EvalScratch* scratch, EvalPlan* plan) const {
   const auto& widx = v.word_indices();
   const auto& wbits = v.word_bits();
   const size_t W = widx.size();
   const size_t L = pops_.size();
 
-  // One capacity reservation covers every Alloc of this candidate's cycle,
+  // One capacity reservation covers every Alloc of this plan's cycle,
   // so spans handed out below are never invalidated by growth. In 8-byte
-  // words: the W-sized arrays take at most 2.5 W + 3 (one uint64 array and
-  // three uint32 arrays), the per-level arrays at most 2 L + 4, and the
-  // lazily gathered rows at most the whole column arena.
+  // words: the W-sized arrays take at most 3.5 W + 3 (two uint64 arrays and
+  // three uint32 arrays), the per-level arrays at most 2 L + 4. The lazily
+  // gathered rows take at most the whole column arena for a full plan, and
+  // at most one zero-padded row of W words per level from `floor` to L for
+  // a floored one.
   EvalArena& arena = scratch->arena;
   arena.Reset();
-  arena.Reserve(3 * W + 2 * (L + 2) + arena_.size() + 16);
+  const size_t rows_bound =
+      floor == 0 ? arena_.size() : (L + 1 - floor) * W;
+  arena.Reserve(4 * W + 2 * (L + 2) + rows_bound + 16);
 
-  // Pass 1: each candidate word's column (start, height), then the height
-  // histogram (no column is taller than the group's L levels).
+  // Pass 1: each candidate word's column (start, height) and bits. Only
+  // words whose column is at least `floor` tall are kept (branch-free:
+  // every word is written at slot k, which advances only for a kept word).
   uint32_t* start = arena.Alloc<uint32_t>(W);
   uint32_t* height = arena.Alloc<uint32_t>(W);
+  uint64_t* bits = arena.Alloc<uint64_t>(W);
+  uint32_t k = 0;
+  uint32_t maxh = 0;
+  auto keep = [&](size_t j, uint32_t s, uint32_t h) {
+    assert(h <= L);
+    start[k] = s;
+    height[k] = h;
+    bits[k] = wbits[j];
+    maxh = std::max(maxh, h);
+    k += h >= floor ? 1 : 0;
+  };
   if (lookup != nullptr) {
     // Table lookup, O(W): the table was synced once for this group state
     // and is shared by every candidate scanned against it.
@@ -169,8 +211,7 @@ void GroupLevelSet::BuildPlan(const ActivityVector& v,
     }
     const ColumnLookup::Span* span = lookup->column_.data();
     for (size_t j = 0; j < W; ++j) {
-      start[j] = span[widx[j]].start;
-      height[j] = span[widx[j]].height;
+      keep(j, span[widx[j]].start, span[widx[j]].height);
     }
   } else {
     // One-shot: a two-pointer merge with the touched index, O(T + W) —
@@ -180,40 +221,43 @@ void GroupLevelSet::BuildPlan(const ActivityVector& v,
     for (size_t j = 0; j < W; ++j) {
       while (i < T && touched_[i] < widx[j]) ++i;
       const bool hit = i < T && touched_[i] == widx[j];
-      start[j] = hit ? col_start_[i] : 0;
-      height[j] = hit ? col_start_[i + 1] - col_start_[i] : 0;
+      keep(j, hit ? col_start_[i] : 0,
+           hit ? col_start_[i + 1] - col_start_[i] : 0);
     }
   }
-  uint32_t* cnt = arena.Alloc<uint32_t>(L + 2);
-  std::memset(cnt, 0, (L + 2) * sizeof(uint32_t));
-  for (size_t j = 0; j < W; ++j) {
-    assert(height[j] <= L);
-    ++cnt[height[j]];
-  }
-  uint32_t maxh = static_cast<uint32_t>(L);
-  while (maxh > 0 && cnt[maxh] == 0) --maxh;
-  plan->n = static_cast<uint32_t>(W);
+  plan->n = k;
   plan->maxh = maxh;
+  plan->rows = arena.Alloc<uint64_t*>(maxh + 1);
+  std::memset(plan->rows, 0, (maxh + 1) * sizeof(uint64_t*));
+  if (floor > 0) {
+    // A floored plan keeps pass-1 order with zero-padded rows (see
+    // EvalPlan); every kept height is >= floor >= 1.
+    plan->cw = bits;
+    plan->cstart = start;
+    plan->height = height;
+    return;
+  }
 
   // Pass 2: counting sort by height, descending, stable over word order.
   // cnt[m] = #columns with height >= m doubles as both the sort offsets
   // and the per-level prefix lengths the eval loop needs. Suffix-sum the
   // histogram: after this, cnt[m] counts h >= m.
+  uint32_t* cnt = arena.Alloc<uint32_t>(maxh + 2);
+  std::memset(cnt, 0, (maxh + 2) * sizeof(uint32_t));
+  for (uint32_t q = 0; q < k; ++q) ++cnt[height[q]];
   for (size_t m = maxh + 1; m-- > 0;) cnt[m] += cnt[m + 1];
   uint32_t* off = arena.Alloc<uint32_t>(maxh + 1);
   for (size_t m = 0; m <= maxh; ++m) off[m] = cnt[m + 1];
-  uint64_t* cw = arena.Alloc<uint64_t>(W);
-  uint32_t* cstart = arena.Alloc<uint32_t>(W);
-  for (size_t j = 0; j < W; ++j) {
-    uint32_t p = off[height[j]]++;
-    cw[p] = wbits[j];
-    cstart[p] = start[j];
+  uint64_t* cw = arena.Alloc<uint64_t>(k);
+  uint32_t* cstart = arena.Alloc<uint32_t>(k);
+  for (uint32_t q = 0; q < k; ++q) {
+    uint32_t p = off[height[q]]++;
+    cw[p] = bits[q];
+    cstart[p] = start[q];
   }
   plan->cw = cw;
   plan->cstart = cstart;
   plan->cnt = cnt;
-  plan->rows = arena.Alloc<uint64_t*>(maxh + 1);
-  std::memset(plan->rows, 0, (maxh + 1) * sizeof(uint64_t*));
 }
 
 void GroupLevelSet::SpliceColumns(const std::vector<uint32_t>& cand_pos,
@@ -414,9 +458,9 @@ std::vector<size_t> GroupLevelSet::EvaluateAdd(const ActivityVector& v) const {
 int GroupLevelSet::EvalCore(const ActivityVector& v,
                             const ColumnLookup* lookup,
                             const std::vector<size_t>* incumbent,
-                            EvalScratch* scratch) const {
+                            uint32_t floor, EvalScratch* scratch) const {
   EvalPlan plan;
-  BuildPlan(v, lookup, scratch, &plan);
+  BuildPlan(v, lookup, floor, scratch, &plan);
   const size_t num_levels = pops_.size();
   scratch->pops.assign(num_levels + 1, 0);
   // Levels are independent of each other, so they can be computed top-down,
@@ -430,9 +474,11 @@ int GroupLevelSet::EvalCore(const ActivityVector& v,
   // top is exactly level m-1 contribute pop(L_{m-1} & C), and shorter
   // columns contribute nothing. Working top-down also means each gathered
   // row is built at most once (level m reuses level m+1's `below` row).
+  // Level m reads only columns at least m-1 tall, so a plan floored at f
+  // holds every column levels above f read, and evaluates exactly those.
   size_t above = 0;  // at_least(m + 1), from the previous iteration
   int winner = 0;
-  for (size_t m = num_levels + 1; m >= 1; --m) {
+  for (size_t m = num_levels + 1; m > floor; --m) {
     size_t base = m <= num_levels ? pops_[m - 1] : 0;
     size_t delta;
     if (m == 1) {
@@ -482,14 +528,14 @@ int GroupLevelSet::EvalCore(const ActivityVector& v,
 void GroupLevelSet::EvaluateAddInto(const ActivityVector& v,
                                     EvalScratch* scratch) const {
   assert(v.num_epochs() == num_epochs_);
-  EvalCore(v, nullptr, nullptr, scratch);
+  EvalCore(v, nullptr, nullptr, 0, scratch);
 }
 
 void GroupLevelSet::EvaluateAddInto(const ActivityVector& v,
                                     const ColumnLookup& lookup,
                                     EvalScratch* scratch) const {
   assert(v.num_epochs() == num_epochs_);
-  EvalCore(v, &lookup, nullptr, scratch);
+  EvalCore(v, &lookup, nullptr, 0, scratch);
 }
 
 int GroupLevelSet::EvaluateAddCompare(const ActivityVector& v,
@@ -499,7 +545,16 @@ int GroupLevelSet::EvaluateAddCompare(const ActivityVector& v,
   assert(v.num_epochs() == num_epochs_);
   assert(!incumbent.empty());
   assert(incumbent.size() <= pops_.size() + 1);
-  return EvalCore(v, &lookup, &incumbent, scratch);
+  // The screen: levels M+1 and M (M = MaxActive()) decide most compares,
+  // and they read only columns at least M-1 tall — only part of the
+  // candidate's words. A plan floored at M-1 proves most losers
+  // worse; only a candidate that ties or wins both levels pays for the full
+  // plan, which re-evaluates from the top and fills every level.
+  const uint32_t top = static_cast<uint32_t>(pops_.size());
+  if (top >= 2 && EvalCore(v, &lookup, &incumbent, top - 1, scratch) > 0) {
+    return 1;
+  }
+  return EvalCore(v, &lookup, &incumbent, 0, scratch);
 }
 
 double GroupLevelSet::TtpFromPopcounts(

@@ -14,13 +14,16 @@
 //    nonzero words can change. A scan of many candidates against one group
 //    state resolves each of C's words to its column by one lookup in a
 //    word -> column table (ColumnLookup, synced once per group state and
-//    shared by every candidate scanned against it), so one candidate costs
-//    O(levels x |C's nonzero words|) word operations — independent of both
-//    the horizon and the group's touched index. This is what keeps the
-//    O(g^2)-search heuristic fast at thousands of tenants. A one-shot
-//    evaluation (no table) merges C's words with the touched index
-//    instead, O(touched + |C's nonzero words|), which is cheaper than
-//    syncing a table for a single candidate.
+//    shared by every candidate scanned against it), independent of both
+//    the horizon and the group's touched index. The argmin compare is
+//    decided top-down, and the top two levels read only C's words in tall
+//    columns, so most candidates are rejected after one lookup pass over
+//    C's words plus word operations on that tall share alone; only a
+//    candidate that survives them pays the full O(levels x |C's nonzero
+//    words|) evaluation. This is what keeps the O(g^2)-search heuristic
+//    fast at thousands of tenants. A one-shot evaluation (no table) merges
+//    C's words with the touched index instead, O(touched + |C's nonzero
+//    words|), which is cheaper than syncing a table for a single candidate.
 //
 // Storage is *sparse over the touched-word index*: every level can only
 // have set bits inside words where at least one member is active, so the
@@ -126,16 +129,17 @@ class GroupLevelSet {
 
   /// \brief Reusable scratch state for allocation-free candidate
   /// evaluation: the would-be popcount vector plus a bump-pointer arena
-  /// holding the per-candidate evaluation plan (the candidate's columns in
-  /// height-sorted order and the lazily gathered level rows the SIMD
-  /// kernels consume — see EvalCore in level_set.cc). One instance per
-  /// scanning thread; the arena is Reset() per candidate and retains its
-  /// block, so the argmin inner loop performs no heap allocation and its
-  /// working set stays cache-resident.
+  /// holding the per-candidate evaluation plan (the candidate's columns and
+  /// the lazily gathered level rows the SIMD kernels consume — see
+  /// EvalPlan and EvalCore in level_set.cc). One instance per
+  /// scanning thread; the arena is Reset() per plan (a compare may build
+  /// two: the screen's, then the full one) and retains its block, so the
+  /// argmin inner loop performs no heap allocation and its working set
+  /// stays cache-resident.
   struct EvalScratch {
     /// Would-be level popcounts, in the EvaluateAdd layout.
     std::vector<size_t> pops;
-    /// Backing store for the evaluation plan, reset per candidate.
+    /// Backing store for the evaluation plans, reset per plan.
     EvalArena arena;
   };
 
@@ -169,6 +173,14 @@ class GroupLevelSet {
   /// the incumbent's the evaluation is abandoned — the pruning that keeps
   /// the argmin cheap — so `scratch->pops` is complete (and equal to
   /// EvaluateAdd) only when the result is <= 0.
+  ///
+  /// Cost: with M = MaxActive() >= 2, a screen first decides levels M+1 and
+  /// M from only v's words whose column is at least M-1 tall (the only
+  /// columns those levels read): one lookup per word of v, then work in the
+  /// tall words alone. Most losers are rejected there. A candidate the
+  /// screen does not reject (a tie or a win at both levels) is evaluated in
+  /// full, O(levels x |v's nonzero words|). The verdict and the filled pops
+  /// are exactly the unscreened evaluation's.
   ///
   /// `incumbent` must be an EvaluateAdd outcome against this same group
   /// state (so incumbent.size() <= MaxActive() + 1) and non-empty, and
@@ -213,21 +225,25 @@ class GroupLevelSet {
 
   /// Builds `plan` for evaluating `v` against this group: resolves each
   /// candidate word to its column — through `lookup` when given, else by
-  /// merging with the touched index — and counting-sorts the words by
-  /// column height. O(|v's nonzero words| + tallest column), plus
-  /// O(touched) without a lookup.
+  /// merging with the touched index — and keeps the words whose column is
+  /// at least `floor` tall; the plan serves the levels above `floor`. A
+  /// full plan (floor 0) counting-sorts the words by column height; a
+  /// floored one keeps word order (see EvalPlan in level_set.cc).
+  /// O(|v's nonzero words| + tallest column), plus O(touched) without a
+  /// lookup.
   void BuildPlan(const ActivityVector& v, const ColumnLookup* lookup,
-                 EvalScratch* scratch, EvalPlan* plan) const;
+                 uint32_t floor, EvalScratch* scratch, EvalPlan* plan) const;
 
   /// Shared body of EvaluateAddInto / EvaluateAddCompare: computes the
-  /// would-be level popcounts top-down into scratch->pops (level rows
-  /// gathered lazily, bodies run through the simd:: kernels). With a
-  /// non-null `incumbent` it additionally compares exact-level counts
-  /// under the Fig 5.3 total order, returning +1 as soon as a level is
-  /// strictly worse (pops left incomplete) and -1/0 otherwise; with a null
-  /// incumbent it returns 0 and always completes pops.
+  /// would-be level popcounts of the levels above `floor`, top-down, into
+  /// scratch->pops (level rows gathered lazily, bodies run through the
+  /// simd:: kernels). With a non-null `incumbent` it additionally compares
+  /// exact-level counts under the Fig 5.3 total order, returning +1 as soon
+  /// as a level is strictly worse (pops left incomplete) and -1/0
+  /// otherwise; with a null incumbent it returns 0. Pops are complete only
+  /// at floor 0 and a result <= 0.
   int EvalCore(const ActivityVector& v, const ColumnLookup* lookup,
-               const std::vector<size_t>* incumbent,
+               const std::vector<size_t>* incumbent, uint32_t floor,
                EvalScratch* scratch) const;
 
   /// Rewrites the candidate columns listed in `cand_pos` (sorted) with the

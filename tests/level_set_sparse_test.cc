@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <optional>
+#include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -169,9 +172,48 @@ TEST_P(SparseDenseEquivalence, RandomAddsRemovesAndEvaluations) {
 INSTANTIATE_TEST_SUITE_P(EpochCounts, SparseDenseEquivalence,
                          ::testing::Values(1, 10, 63, 64, 65, 128, 1000));
 
-// The pruned compare must agree with EvaluateAdd + CompareCandidateLevels
-// for every candidate/incumbent pair, and fill the identical popcount
-// vector whenever it reports a win or tie.
+/// The level at which the Fig 5.3 order separates `a` from `b` (the highest
+/// level whose exact counts differ), or 0 on a full tie.
+size_t DecisiveLevel(const std::vector<size_t>& a,
+                     const std::vector<size_t>& b) {
+  for (size_t m = std::max(a.size(), b.size()); m >= 1; --m) {
+    auto exact = [m](const std::vector<size_t>& p) {
+      return (m <= p.size() ? p[m - 1] : 0) - (m < p.size() ? p[m] : 0);
+    };
+    if (exact(a) != exact(b)) return m;
+  }
+  return 0;
+}
+
+/// The pruned compare must agree with EvaluateAdd + CompareCandidateLevels
+/// for every candidate/incumbent pair of `pool`, and fill the identical
+/// popcount vector whenever it reports a win or tie. Records each pair's
+/// (sign, decisive level) into `outcomes` when given.
+void ExpectComparesMatchCanonicalOrder(
+    const GroupLevelSet& g, const std::vector<ActivityVector>& pool,
+    GroupLevelSet::ColumnLookup* lookup, GroupLevelSet::EvalScratch* scratch,
+    std::set<std::pair<int, size_t>>* outcomes = nullptr) {
+  lookup->Sync(g);
+  for (const auto& incumbent_v : pool) {
+    const std::vector<size_t> incumbent = g.EvaluateAdd(incumbent_v);
+    if (incumbent.empty()) continue;  // caller handles empty incumbents
+    for (const auto& cand : pool) {
+      const std::vector<size_t> full = g.EvaluateAdd(cand);
+      const int want = CompareCandidateLevels(full, incumbent);
+      const int got = g.EvaluateAddCompare(cand, incumbent, *lookup, scratch);
+      ASSERT_EQ(got < 0, want < 0);
+      ASSERT_EQ(got > 0, want > 0);
+      if (got <= 0) {
+        ASSERT_EQ(scratch->pops, full);
+      }
+      if (outcomes != nullptr) {
+        outcomes->insert({(want > 0) - (want < 0),
+                          DecisiveLevel(full, incumbent)});
+      }
+    }
+  }
+}
+
 TEST(SparseLevelSetTest, EvaluateAddCompareMatchesCanonicalOrder) {
   for (size_t num_epochs : {10u, 64u, 200u, 1000u}) {
     Rng rng(num_epochs * 31337 + 11);
@@ -183,22 +225,74 @@ TEST(SparseLevelSetTest, EvaluateAddCompareMatchesCanonicalOrder) {
         g.Add(pool[rng.NextBounded(pool.size())]);
       }
       GroupLevelSet::ColumnLookup lookup;
-      lookup.Sync(g);
       GroupLevelSet::EvalScratch scratch;
-      for (const auto& incumbent_v : pool) {
-        std::vector<size_t> incumbent = g.EvaluateAdd(incumbent_v);
-        if (incumbent.empty()) continue;  // caller handles empty incumbents
-        for (const auto& cand : pool) {
-          std::vector<size_t> full = g.EvaluateAdd(cand);
-          int expected = CompareCandidateLevels(full, incumbent);
-          int got = g.EvaluateAddCompare(cand, incumbent, lookup, &scratch);
-          ASSERT_EQ(got < 0, expected < 0);
-          ASSERT_EQ(got > 0, expected > 0);
-          if (got <= 0) {
-            ASSERT_EQ(scratch.pops, full);
-          }
-        }
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectComparesMatchCanonicalOrder(g, pool, &lookup, &scratch));
+    }
+  }
+}
+
+/// An activity vector active exactly on the half-open epoch `runs`.
+ActivityVector Runs(TenantId id, size_t num_epochs,
+                    const std::vector<std::pair<size_t, size_t>>& runs) {
+  DynamicBitmap bits(num_epochs);
+  for (const auto& [begin, end] : runs) bits.SetRange(begin, end);
+  return ActivityVector::FromBitmap(id, bits);
+}
+
+// With M = MaxActive() >= 2 the compare first screens levels M+1 and M from
+// the candidate's tall columns alone and builds the full plan only when the
+// screen does not reject. Directed groups (M = 0..3) and candidates placed
+// on columns of every height — inside and outside the touched index — hit
+// each way a compare can end: lost or won at M+1, lost or won at M, decided
+// below M (after falling through the screen), and a full tie.
+TEST(SparseLevelSetTest, ScreenedCompareMatchesCanonicalOrderAtEveryDepth) {
+  const size_t num_epochs = 640;
+  // Counts: [0,100) 1, [100,150) 2, [150,200) 3, [200,250) 2, [250,300) 1
+  // once all three are in.
+  const std::vector<ActivityVector> members = {
+      Runs(1, num_epochs, {{0, 200}}),
+      Runs(2, num_epochs, {{100, 300}}),
+      Runs(3, num_epochs, {{150, 250}}),
+  };
+  const std::vector<ActivityVector> pool = {
+      Runs(10, num_epochs, {{150, 160}}),
+      Runs(11, num_epochs, {{150, 155}}),
+      Runs(12, num_epochs, {{120, 130}}),
+      Runs(13, num_epochs, {{120, 125}}),
+      Runs(14, num_epochs, {{200, 250}}),
+      Runs(15, num_epochs, {{200, 220}}),
+      Runs(16, num_epochs, {{260, 290}}),
+      Runs(17, num_epochs, {{400, 450}}),
+      Runs(18, num_epochs, {{400, 420}}),
+      Runs(19, num_epochs, {{50, 60}, {400, 410}}),
+      Runs(20, num_epochs, {{50, 60}, {400, 420}}),
+      Runs(21, num_epochs, {}),
+  };
+  GroupLevelSet::ColumnLookup lookup;
+  GroupLevelSet::EvalScratch scratch;
+  for (size_t size = 0; size <= members.size(); ++size) {
+    GroupLevelSet g(num_epochs);
+    for (size_t i = 0; i < size; ++i) g.Add(members[i]);
+    const size_t top = static_cast<size_t>(g.MaxActive());
+    ASSERT_EQ(top, size);
+    SCOPED_TRACE(testing::Message() << "M " << top);
+    std::set<std::pair<int, size_t>> outcomes;
+    ASSERT_NO_FATAL_FAILURE(ExpectComparesMatchCanonicalOrder(
+        g, pool, &lookup, &scratch, &outcomes));
+    if (top >= 2) {
+      // Every depth, keyed by (sign, decisive level relative to M).
+      std::set<std::pair<int, std::string>> seen;
+      for (const auto& [sign, level] : outcomes) {
+        seen.insert({sign, level == 0         ? "tie"
+                           : level == top + 1 ? "M+1"
+                           : level == top     ? "M"
+                                              : "below"});
       }
+      const std::set<std::pair<int, std::string>> every = {
+          {1, "M+1"}, {-1, "M+1"}, {1, "M"},     {-1, "M"},
+          {1, "below"}, {-1, "below"}, {0, "tie"}};
+      EXPECT_EQ(seen, every);
     }
   }
 }
