@@ -19,7 +19,15 @@
 #include <iostream>
 #include <map>
 
+#include "activity/level_set.h"
 #include "bench_util.h"
+#include "common/rng.h"
+#include "common/status.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
+#include "placement/ffd.h"
+#include "placement/problem.h"
+#include "placement/two_step.h"
 
 namespace thrifty {
 namespace {
@@ -127,9 +135,14 @@ GroupingSolution GreedyGroup(const PackingProblem& problem, bool split_sizes,
 }  // namespace
 }  // namespace thrifty
 
-int main() {
+int main(int argc, char** argv) {
   using namespace thrifty;
   using namespace thrifty::bench;
+
+  const std::string bench_name = "ablation_grouping";
+  BenchOptions options =
+      ParseBenchArgs(argc, argv, bench_name, kNoSharedFlags);
+  BenchReport report(bench_name, options);
 
   QueryCatalog catalog = QueryCatalog::Default();
   ExperimentConfig config;
@@ -147,37 +160,46 @@ int main() {
 
   TablePrinter table({"variant", "effectiveness", "avg group size",
                       "nodes used"});
-  auto report = [&](const std::string& name, const GroupingSolution& s) {
+  // `metric` names the variant's effectiveness in the JSON report.
+  auto add_variant = [&](const std::string& name, const std::string& metric,
+                         const GroupingSolution& s) {
     Status valid = VerifySolution(*problem, s);
     if (!valid.ok()) {
       std::cerr << name << " produced an invalid solution: " << valid << "\n";
       std::exit(1);
     }
-    table.AddRow({name,
-                  FormatPercent(s.ConsolidationEffectiveness(
-                                    config.replication_factor,
-                                    problem->TotalRequestedNodes()),
-                                1),
+    const double effectiveness = s.ConsolidationEffectiveness(
+        config.replication_factor, problem->TotalRequestedNodes());
+    table.AddRow({name, FormatPercent(effectiveness, 1),
                   FormatDouble(s.AverageGroupSize(), 1),
                   std::to_string(s.NodesUsed(config.replication_factor))});
+    report.AddMetric("effectiveness_" + metric, effectiveness);
   };
 
-  report("full (Algorithm 2)", *SolveTwoStep(*problem));
-  report("no-step1 (mixed sizes)",
-         GreedyGroup(*problem, false, PickRule::kCascade, Rng(1)));
-  report("no-cascade (top level only)",
-         GreedyGroup(*problem, true, PickRule::kTopLevelOnly, Rng(2)));
-  report("random-pick (feasible only)",
-         GreedyGroup(*problem, true, PickRule::kRandom, Rng(3)));
-  for (auto [name, key] :
-       {std::pair<const char*, FfdSortKey>{"FFD (n x activity)",
-                                           FfdSortKey::kNodesTimesActivity},
-        {"FFD (activity)", FfdSortKey::kActivity},
-        {"FFD (nodes)", FfdSortKey::kNodes}}) {
-    FfdOptions options;
-    options.sort_key = key;
-    report(name, *SolveFfd(*problem, options));
+  add_variant("full (Algorithm 2)", "full", *SolveTwoStep(*problem));
+  add_variant("no-step1 (mixed sizes)", "no_step1",
+              GreedyGroup(*problem, false, PickRule::kCascade, Rng(1)));
+  add_variant("no-cascade (top level only)", "no_cascade",
+              GreedyGroup(*problem, true, PickRule::kTopLevelOnly, Rng(2)));
+  add_variant("random-pick (feasible only)", "random_pick",
+              GreedyGroup(*problem, true, PickRule::kRandom, Rng(3)));
+  struct FfdVariant {
+    const char* name;
+    const char* metric;
+    FfdSortKey key;
+  };
+  for (const FfdVariant& variant :
+       {FfdVariant{"FFD (n x activity)", "ffd_nodes_x_activity",
+                   FfdSortKey::kNodesTimesActivity},
+        FfdVariant{"FFD (activity)", "ffd_activity", FfdSortKey::kActivity},
+        FfdVariant{"FFD (nodes)", "ffd_nodes", FfdSortKey::kNodes}}) {
+    FfdOptions ffd_options;
+    ffd_options.sort_key = variant.key;
+    add_variant(variant.name, variant.metric,
+                *SolveFfd(*problem, ffd_options));
   }
   table.Print(std::cout);
-  return 0;
+
+  report.SetResultsTable(table);
+  return report.Finish();
 }

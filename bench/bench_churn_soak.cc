@@ -42,6 +42,11 @@
 #include <string>
 
 #include "bench_util.h"
+#include "common/fnv.h"
+#include "common/status.h"
+#include "common/table_printer.h"
+#include "placement/deployment_plan.h"
+#include "service/streaming_service.h"
 #include "soak/soak_harness.h"
 
 int main(int argc, char** argv) {

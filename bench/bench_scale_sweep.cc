@@ -35,8 +35,15 @@
 #include <string_view>
 #include <vector>
 
+#include "activity/epoch.h"
+#include "activity/streamed_epochizer.h"
 #include "bench_util.h"
+#include "common/fnv.h"
+#include "common/rng.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
 #include "placement/hierarchical.h"
+#include "placement/problem.h"
 #include "placement/two_step.h"
 #include "workload/log_generator.h"
 #include "workload/tenant_population.h"

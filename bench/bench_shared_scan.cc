@@ -31,6 +31,15 @@
 
 #include "bench_util.h"
 #include "common/distributions.h"
+#include "common/fnv.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
+#include "sim/cost_gauge.h"
+#include "sim/engine.h"
 
 namespace thrifty {
 namespace {

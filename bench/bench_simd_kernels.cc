@@ -27,10 +27,14 @@
 #include <string>
 #include <vector>
 
+#include "activity/activity_vector.h"
 #include "activity/level_set.h"
 #include "bench_util.h"
+#include "common/bitmap.h"
+#include "common/fnv.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/table_printer.h"
 
 namespace {
 

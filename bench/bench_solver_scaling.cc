@@ -25,7 +25,18 @@
 #include <thread>
 #include <vector>
 
+#include "activity/activity_vector.h"
 #include "bench_util.h"
+#include "common/bitmap.h"
+#include "common/fnv.h"
+#include "common/rng.h"
+#include "common/status.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
+#include "placement/exact.h"
+#include "placement/problem.h"
+#include "placement/two_step.h"
+#include "workload/tenant.h"
 
 int main(int argc, char** argv) {
   using namespace thrifty;

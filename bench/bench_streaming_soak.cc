@@ -28,6 +28,10 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/fnv.h"
+#include "common/status.h"
+#include "common/table_printer.h"
+#include "service/streaming_service.h"
 #include "soak/soak_harness.h"
 
 int main(int argc, char** argv) {

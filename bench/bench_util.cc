@@ -1,4 +1,20 @@
+#include "activity/activity_vector.h"
+#include "activity/epoch.h"
+#include "activity/streamed_epochizer.h"
 #include "bench_util.h"
+#include "common/fnv.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "common/status.h"
+#include "common/table_printer.h"
+#include "common/thread_pool.h"
+#include "core/deployment_advisor.h"
+#include "mppdb/catalog.h"
+#include "placement/ffd.h"
+#include "placement/problem.h"
+#include "placement/two_step.h"
+#include "workload/log_generator.h"
+#include "workload/tenant_population.h"
 
 #include <algorithm>
 #include <cctype>

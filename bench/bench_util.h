@@ -15,8 +15,16 @@
 #include <utility>
 #include <vector>
 
+#include "activity/activity_vector.h"
 #include "common/fnv.h"
-#include "core/thrifty.h"
+#include "common/interval.h"
+#include "common/sim_time.h"
+#include "common/table_printer.h"
+#include "core/deployment_advisor.h"
+#include "mppdb/catalog.h"
+#include "placement/problem.h"
+#include "workload/log_generator.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace bench {

@@ -19,6 +19,17 @@
 #include <stdexcept>
 
 #include "bench_util.h"
+#include "common/sim_time.h"
+#include "common/stats.h"
+#include "common/table_printer.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "sim/engine.h"
+#include "sweep_runner.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

@@ -16,6 +16,17 @@
 #include <stdexcept>
 
 #include "bench_util.h"
+#include "common/sim_time.h"
+#include "common/table_printer.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "scaling/elastic_scaler.h"
+#include "sim/engine.h"
+#include "sweep_runner.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

@@ -19,6 +19,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/sim_time.h"
+#include "common/status.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
+#include "sim/engine.h"
 
 namespace thrifty {
 namespace {

@@ -14,6 +14,9 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
+#include "sweep_runner.h"
 
 int main(int argc, char** argv) {
   using namespace thrifty;

@@ -13,6 +13,10 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/table_printer.h"
+#include "core/deployment_advisor.h"
+#include "mppdb/catalog.h"
+#include "sweep_runner.h"
 
 int main(int argc, char** argv) {
   using namespace thrifty;

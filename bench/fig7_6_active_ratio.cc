@@ -19,6 +19,10 @@
 #include <iostream>
 
 #include "bench_util.h"
+#include "common/table_printer.h"
+#include "mppdb/catalog.h"
+#include "sweep_runner.h"
+#include "workload/query_log.h"
 
 int main(int argc, char** argv) {
   using namespace thrifty;

@@ -26,6 +26,22 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "common/table_printer.h"
+#include "core/deployment_advisor.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "scaling/elastic_scaler.h"
+#include "sim/engine.h"
+#include "sweep_runner.h"
+#include "workload/log_generator.h"
+#include "workload/query_log.h"
+#include "workload/tenant.h"
+#include "workload/tenant_population.h"
 
 namespace thrifty {
 namespace {

@@ -3,10 +3,25 @@
 // routing decisions, processor-sharing instance event handling, and epoch
 // discretization.
 
+#include <memory>
+
 #include <benchmark/benchmark.h>
 
+#include "activity/activity_vector.h"
+#include "activity/epoch.h"
+#include "activity/level_set.h"
+#include "activity/streamed_epochizer.h"
+#include "common/bitmap.h"
+#include "common/interval.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
 #include "common/simd.h"
-#include "core/thrifty.h"
+#include "common/status.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
+#include "routing/query_router.h"
+#include "scaling/rt_ttp_monitor.h"
+#include "sim/engine.h"
 
 namespace thrifty {
 namespace {

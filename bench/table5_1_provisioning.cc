@@ -12,6 +12,13 @@
 #include <stdexcept>
 
 #include "bench_util.h"
+#include "common/sim_time.h"
+#include "common/table_printer.h"
+#include "mppdb/cluster.h"
+#include "mppdb/instance.h"
+#include "mppdb/provisioning.h"
+#include "sim/engine.h"
+#include "sweep_runner.h"
 
 int main(int argc, char** argv) {
   using namespace thrifty;

@@ -75,11 +75,6 @@ int main(int argc, char** argv) {
                    AverageActiveTenantRatio(*logs, 0, composer.horizon_end()),
                    1)
             << "\n";
-  auto workload_summary =
-      SummarizeWorkload(*logs, 0, composer.horizon_end(), &*tenants);
-  if (workload_summary.ok()) {
-    PrintWorkloadSummary(*workload_summary, std::cout);
-  }
   std::cout << "\n";
 
   AdvisorOptions options;

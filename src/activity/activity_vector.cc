@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <optional>
 
 #include "activity/streamed_epochizer.h"
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace thrifty {
 
@@ -68,20 +66,6 @@ DynamicBitmap ActivityVector::ToBitmap() const {
 ActivityVector MakeActivityVector(const TenantLog& log,
                                   const EpochConfig& epochs) {
   return EpochizeIntervals(log.tenant_id, log.ActivityIntervals(), epochs);
-}
-
-std::vector<ActivityVector> MakeActivityVectors(
-    const std::vector<TenantLog>& logs, const EpochConfig& epochs,
-    int jobs) {
-  std::vector<ActivityVector> out(logs.size());
-  // Each index writes only its own slot, so the tenant shard partition is
-  // free to be scheduling-dependent while the output stays byte-identical.
-  std::optional<ThreadPool> pool;
-  if (jobs > 1) pool.emplace(jobs);
-  ParallelFor(pool ? &*pool : nullptr, logs.size(), [&](size_t i) {
-    out[i] = MakeActivityVector(logs[i], epochs);
-  });
-  return out;
 }
 
 TenantActivity MakeTenantActivity(const TenantLog& log,

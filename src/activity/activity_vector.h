@@ -81,12 +81,6 @@ class ActivityVector {
 ActivityVector MakeActivityVector(const TenantLog& log,
                                   const EpochConfig& epochs);
 
-/// \brief Builds activity vectors for all logs, tenant-sharded over `jobs`
-/// workers (byte-identical output for any value).
-std::vector<ActivityVector> MakeActivityVectors(
-    const std::vector<TenantLog>& logs, const EpochConfig& epochs,
-    int jobs = 1);
-
 /// \brief Everything the planner reads of one tenant's history, derived
 /// once per log change instead of once per solve.
 struct TenantActivity {

@@ -104,14 +104,4 @@ Result<BurstReport> DetectRegularBursts(const IntervalSet& activity,
   return report;
 }
 
-bool InPredictedBurst(const BurstReport& report, SimTime when,
-                      SimDuration period) {
-  if (period <= 0) return false;
-  SimDuration phase = when % period;
-  for (const auto& window : report.windows) {
-    if (phase >= window.phase_begin && phase < window.phase_end) return true;
-  }
-  return false;
-}
-
 }  // namespace thrifty

@@ -71,11 +71,6 @@ Result<BurstReport> DetectRegularBursts(
     const IntervalSet& activity, SimTime history_begin, SimTime history_end,
     const BurstDetectorOptions& options = BurstDetectorOptions());
 
-/// \brief True if `when` falls inside a predicted occurrence of any of the
-/// report's burst windows.
-bool InPredictedBurst(const BurstReport& report, SimTime when,
-                      SimDuration period);
-
 }  // namespace thrifty
 
 #endif  // THRIFTY_ACTIVITY_BURST_DETECTION_H_

@@ -84,7 +84,7 @@ struct ParallelForState {
       std::lock_guard<std::mutex> lock(mu);
       if (caught && i < error_index) {
         error_index = i;
-        error = caught;
+        error = std::move(caught);  // the helper keeps no reference
       }
       if (++done == n) cv.notify_all();
     }
@@ -105,9 +105,17 @@ void ParallelFor(ThreadPool* pool, size_t n,
     pool->Submit([state] { state->Drain(); });  // fire-and-forget
   }
   state->Drain();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&] { return state->done == state->n; });
-  if (state->error) std::rethrow_exception(state->error);
+  std::exception_ptr error;
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->cv.wait(lock, [&] { return state->done == state->n; });
+    // Take the exception out of the shared state under the lock: a helper
+    // may drop the last reference to `state` at any time, and the caller
+    // must then be the exception's only owner (its refcount is invisible
+    // to TSan, so it cannot order that destruction after our reads).
+    error = std::move(state->error);
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace thrifty

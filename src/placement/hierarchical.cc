@@ -16,7 +16,14 @@ namespace thrifty {
 
 namespace {
 
-constexpr size_t kMaxSignatureBands = 32;
+// Bands of the partition's activity signature: as many as the 128-bit key
+// holds at 4 bits per band.
+constexpr size_t kSignatureBands = 32;
+
+// Least-populated kept groups dealt to each merge chunk as warm-seeded
+// absorbers, so pooled boundary tenants can join groups with spare fuzzy
+// capacity (each absorber is consumed by exactly one chunk).
+constexpr size_t kMergeAbsorbersPerChunk = 4;
 
 double SecondsSince(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -28,7 +35,7 @@ double SecondsSince(std::chrono::steady_clock::time_point since) {
 
 ActivitySignature ComputeActivitySignature(const ActivityVector& v,
                                            size_t bands) {
-  bands = std::clamp<size_t>(bands, 1, kMaxSignatureBands);
+  bands = std::clamp<size_t>(bands, 1, kSignatureBands);
   ActivitySignature sig;
   const size_t horizon_words = (v.num_epochs() + 63) / 64;
   const auto& indices = v.word_indices();
@@ -38,7 +45,7 @@ ActivitySignature ComputeActivitySignature(const ActivityVector& v,
   // Band b covers words [b*W/bands, (b+1)*W/bands). The nonzero words are
   // stored ascending, so each band's members are one contiguous run of the
   // parallel bits array — exactly the shape the span-popcount kernel wants.
-  size_t band_pops[kMaxSignatureBands] = {};
+  size_t band_pops[kSignatureBands] = {};
   size_t max_pop = 0;
   size_t i = 0;
   for (size_t b = 0; b < bands && i < indices.size(); ++b) {
@@ -83,8 +90,7 @@ std::vector<std::vector<size_t>> ComputeShardPartition(
   std::vector<Keyed> keyed(n);
   for (size_t i = 0; i < n; ++i) {
     const PackingItem& item = problem.items[i];
-    keyed[i] = {ComputeActivitySignature(*item.activity,
-                                         options.signature_bands),
+    keyed[i] = {ComputeActivitySignature(*item.activity, kSignatureBands),
                 item.activity->ActiveEpochs(), item.tenant_id, i};
   }
   // (signature, activity, id) is a strict total order over distinct tenant
@@ -190,12 +196,10 @@ ClassMergePlan PlanClassMerge(int nodes, std::vector<GroupRef> refs,
 
   // Absorbers: the least-populated kept groups, re-opened as feasible warm
   // seeds so pooled tenants can join their spare fuzzy capacity; dealt to
-  // the chunks in order, merge_absorbers_per_class each. Ties resolve in
+  // the chunks in order, kMergeAbsorbersPerChunk each. Ties resolve in
   // canonical (count, shard, index) order.
-  const size_t per_chunk =
-      static_cast<size_t>(std::max(0, options.merge_absorbers_per_class));
-  const size_t wanted =
-      std::min(plan.kept.size(), per_chunk * class_chunks.size());
+  const size_t wanted = std::min(plan.kept.size(),
+                                 kMergeAbsorbersPerChunk * class_chunks.size());
   if (wanted > 0) {
     std::vector<GroupRef> by_fill = plan.kept;
     std::sort(by_fill.begin(), by_fill.end(),
@@ -206,7 +210,7 @@ ClassMergePlan PlanClassMerge(int nodes, std::vector<GroupRef> refs,
               });
     by_fill.resize(wanted);
     for (size_t i = 0; i < by_fill.size(); ++i) {
-      class_chunks[i / per_chunk].absorbers.push_back(by_fill[i]);
+      class_chunks[i / kMergeAbsorbersPerChunk].absorbers.push_back(by_fill[i]);
     }
     // Remove the absorbers from the kept list, preserving canonical order.
     plan.kept.erase(

@@ -30,7 +30,7 @@
 //      quadratic central solve it exists to avoid.
 //
 // Determinism contract: the logical shard partition is a pure function of
-// the tenant set (ids + activity + shard_tenant_target/signature_bands) —
+// the tenant set (ids + activity + shard_tenant_target) —
 // never of shard_jobs or solver_jobs, which only change how the same
 // per-shard solves are spread across threads. Group output order is
 // canonical (size class descending, then shard-major, then the merge
@@ -51,9 +51,9 @@
 namespace thrifty {
 
 /// \brief Execution knobs of the hierarchical solver. All parallelism
-/// knobs are output-invariant; only shard_tenant_target / signature_bands /
-/// merge_* change the plan (they define the logical partition and the merge
-/// rule, both pure functions of the tenant set).
+/// knobs are output-invariant; only shard_tenant_target and
+/// merge_fill_threshold change the plan (they define the logical partition
+/// and the merge rule, both pure functions of the tenant set).
 struct HierarchicalOptions {
   /// Worker threads fanning the shard solves (values < 1 clamp to 1, the
   /// serial path). Composes multiplicatively with solver_jobs.
@@ -73,13 +73,6 @@ struct HierarchicalOptions {
   /// groups are re-solved in merge *chunks* of ~shard_tenant_target pooled
   /// tenants, so the central pass stays near-linear at any shard count.
   double merge_fill_threshold = 0.7;
-  /// Least-populated kept groups dealt to *each* merge chunk as
-  /// warm-seeded absorbers, so pooled boundary tenants can join groups with
-  /// spare fuzzy capacity (each absorber is consumed by exactly one chunk).
-  int merge_absorbers_per_class = 4;
-  /// Bands of the activity signature (values < 1 clamp to 1; capped at 32
-  /// so the signature stays a 128-bit sort key of 4-bit band quantiles).
-  size_t signature_bands = 32;
 };
 
 /// \brief Phase accounting of one hierarchical solve.
@@ -122,12 +115,13 @@ struct ActivitySignature {
 
 /// \brief Computes the banded signature of one activity vector. Pure and
 /// deterministic; an all-zero vector maps to the all-zero signature.
+/// `bands` clamps to [1, 32]; the shard partition uses all 32.
 ActivitySignature ComputeActivitySignature(const ActivityVector& v,
                                            size_t bands);
 
 /// \brief The logical shard partition: item indices of `problem`, grouped
-/// by shard in solve order. A pure function of the tenant set and the two
-/// partition knobs (shard_tenant_target, signature_bands) — permuting
+/// by shard in solve order. A pure function of the tenant set and the
+/// partition knob shard_tenant_target — permuting
 /// problem.items or changing any parallelism knob yields the same tenant
 /// partition. Exposed for tests and diagnostics.
 std::vector<std::vector<size_t>> ComputeShardPartition(

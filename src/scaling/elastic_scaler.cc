@@ -55,8 +55,8 @@ void ElasticScaler::CheckNow(SimTime now) {
 
 void ElasticScaler::CheckGroup(GroupId group_id, WatchedGroup* group,
                                SimTime now) {
-  if (group->scaling_in_flight) return;
-  if (options_.once_per_group && group->scaled) return;
+  // At most one scaling action per group until re-consolidation.
+  if (group->scaling_in_flight || group->scaled) return;
   double rt_ttp = group->monitor->RtTtp(now);
   group->predictor.AddSample(now, rt_ttp);
   bool breached = rt_ttp + 1e-12 < sla_fraction_;

@@ -47,8 +47,6 @@ struct ElasticScalerOptions {
   /// Warm-up before the first check (a fresh 24h window reads artificially
   /// high because pre-history counts as inactive).
   SimDuration warmup = 24 * kHour;
-  /// At most one scaling action per group until re-consolidation.
-  bool once_per_group = true;
   ScalingPolicy policy = ScalingPolicy::kReactive;
   /// Proactive mode: act when the predicted RT-TTP crosses P within this
   /// lead time (roughly the MPPDB preparation time it buys back).

@@ -11,7 +11,7 @@
 //
 // Determinism contract: the service is a pure function of its event log.
 // Cycle boundaries are themselves recorded events (kCycleMark) — in live
-// mode the attached ClockSource only decides *where* the marks land; once
+// mode the attached VirtualClock only decides *where* the marks land; once
 // recorded, replaying the log re-runs every cycle without consulting any
 // clock. Replaying the same log therefore yields byte-identical cycle
 // decisions (DecisionFingerprint), plan fingerprints (PlanFingerprint),
@@ -139,7 +139,7 @@ class StreamingService {
   /// \brief Live mode wiring: cluster-applying master (optional — without
   /// one the service plans but does not deploy) and the clock Tick() reads.
   void AttachDeployment(DeploymentMaster* master) { master_ = master; }
-  void AttachClock(const ClockSource* clock) { clock_ = clock; }
+  void AttachClock(const VirtualClock* clock) { clock_ = clock; }
 
   /// \brief Appends one event to the log and applies it. The sequence is
   /// re-stamped densely (callers never manage sequences); the time must be
@@ -203,7 +203,7 @@ class StreamingService {
 
   StreamingServiceOptions options_;
   DeploymentMaster* master_ = nullptr;
-  const ClockSource* clock_ = nullptr;
+  const VirtualClock* clock_ = nullptr;
 
   std::vector<TenantEvent> event_log_;
   std::vector<CycleDecision> decisions_;

@@ -1,40 +1,26 @@
-// Clock sources for the streaming service mode.
+// The clock the streaming service's Tick() reads.
 //
-// The discrete-event SimEngine owns simulated time for experiments, but the
-// long-running StreamingService must also run on a real wall clock. Both are
-// expressed behind one interface so every consumer is clock-agnostic: tests
-// and byte-deterministic replay pin a VirtualClock, simulations adapt the
-// engine's clock through SimEngineClock, and deployments use WallClock.
-// Determinism contract: nothing downstream of a ClockSource may branch on
+// The discrete-event SimEngine owns simulated time for experiments; the
+// streaming service instead reads a manually advanced VirtualClock, which
+// tests, soaks and byte-deterministic replay all pin.
+// Determinism contract: nothing downstream of the clock may branch on
 // *when* Now() is sampled beyond recording it — the streaming service writes
 // every sampled time into its event log, so a replay never consults a clock.
 
 #ifndef THRIFTY_SIM_CLOCK_SOURCE_H_
 #define THRIFTY_SIM_CLOCK_SOURCE_H_
 
-#include <chrono>
-
 #include "common/sim_time.h"
 
 namespace thrifty {
 
-class SimEngine;
-
-/// \brief A monotone millisecond clock.
-class ClockSource {
- public:
-  virtual ~ClockSource() = default;
-
-  /// \brief Milliseconds since the clock's origin; never decreases.
-  virtual SimTime Now() const = 0;
-};
-
-/// \brief Manually advanced clock for tests and event-log replay.
-class VirtualClock : public ClockSource {
+/// \brief Manually advanced monotone millisecond clock.
+class VirtualClock {
  public:
   explicit VirtualClock(SimTime start = 0) : now_(start) {}
 
-  SimTime Now() const override { return now_; }
+  /// \brief Milliseconds since the clock's origin; never decreases.
+  SimTime Now() const { return now_; }
 
   /// \brief Moves the clock to `t`; ignores moves into the past (the clock
   /// is monotone by contract).
@@ -48,34 +34,6 @@ class VirtualClock : public ClockSource {
 
  private:
   SimTime now_;
-};
-
-/// \brief Real time since construction (steady clock, immune to NTP steps).
-class WallClock : public ClockSource {
- public:
-  WallClock() : origin_(std::chrono::steady_clock::now()) {}
-
-  SimTime Now() const override {
-    return std::chrono::duration_cast<std::chrono::milliseconds>(
-               std::chrono::steady_clock::now() - origin_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point origin_;
-};
-
-/// \brief Adapts a SimEngine's simulated clock (the extraction that lets
-/// simulation-driven components and the streaming service share one time
-/// source). The engine must outlive the adapter.
-class SimEngineClock : public ClockSource {
- public:
-  explicit SimEngineClock(const SimEngine* engine) : engine_(engine) {}
-
-  SimTime Now() const override;
-
- private:
-  const SimEngine* engine_;
 };
 
 }  // namespace thrifty

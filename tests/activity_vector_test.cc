@@ -93,20 +93,5 @@ TEST(ActivityVectorTest, FromLog) {
   EXPECT_FALSE(v.Get(5));
 }
 
-TEST(ActivityVectorTest, MakeVectorsForAllLogs) {
-  std::vector<TenantLog> logs(3);
-  for (int i = 0; i < 3; ++i) {
-    logs[static_cast<size_t>(i)].tenant_id = i;
-    logs[static_cast<size_t>(i)].entries.push_back(
-        {i * 10 * kSecond, 0, 5 * kSecond, -1});
-  }
-  auto vectors = MakeActivityVectors(logs, TenByTenSeconds());
-  ASSERT_EQ(vectors.size(), 3u);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_EQ(vectors[static_cast<size_t>(i)].tenant_id(), i);
-    EXPECT_TRUE(vectors[static_cast<size_t>(i)].Get(static_cast<size_t>(i)));
-  }
-}
-
 }  // namespace
 }  // namespace thrifty

@@ -4,7 +4,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "common/status.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "scaling/manual_tuning.h"
+#include "sim/engine.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

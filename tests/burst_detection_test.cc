@@ -86,18 +86,6 @@ TEST(BurstDetectionTest, NextOccurrencePrediction) {
   EXPECT_EQ(after.begin, 3 * 7 * kDay + 4 * kDay);
 }
 
-TEST(BurstDetectionTest, InPredictedBurst) {
-  BurstReport report;
-  BurstWindow window;
-  window.phase_begin = kDay;
-  window.phase_end = kDay + 2 * kHour;
-  report.windows.push_back(window);
-  SimDuration period = 7 * kDay;
-  EXPECT_TRUE(InPredictedBurst(report, 7 * kDay + kDay + kHour, period));
-  EXPECT_FALSE(InPredictedBurst(report, 7 * kDay + 2 * kDay, period));
-  EXPECT_FALSE(InPredictedBurst(BurstReport{}, kDay, period));
-}
-
 TEST(BurstDetectionTest, ValidatesInputs) {
   IntervalSet activity;
   activity.Add(0, kDay);

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "common/status.h"
+#include "mppdb/cluster.h"
+#include "mppdb/instance.h"
+#include "placement/deployment_plan.h"
+#include "routing/query_router.h"
+#include "sim/engine.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

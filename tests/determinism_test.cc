@@ -7,7 +7,22 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "activity/activity_vector.h"
+#include "activity/epoch.h"
+#include "activity/streamed_epochizer.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "core/deployment_advisor.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "placement/ffd.h"
+#include "placement/problem.h"
+#include "placement/two_step.h"
+#include "sim/engine.h"
+#include "sim/event_queue.h"
+#include "workload/log_generator.h"
+#include "workload/tenant_population.h"
 
 namespace thrifty {
 namespace {

@@ -3,7 +3,27 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "activity/activity_vector.h"
+#include "common/bitmap.h"
+#include "common/histogram.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "common/status.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "placement/exact.h"
+#include "placement/ffd.h"
+#include "placement/problem.h"
+#include "placement/two_step.h"
+#include "routing/query_router.h"
+#include "sim/engine.h"
+#include "workload/query_log.h"
+#include "workload/session.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "activity/activity_monitor.h"
+#include "common/sim_time.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/instance.h"
+#include "placement/deployment_plan.h"
+#include "routing/query_router.h"
+#include "scaling/rt_ttp_monitor.h"
+#include "sim/engine.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {
@@ -116,7 +125,7 @@ TEST_F(ElasticScalerTest, OncePerGroupSuppressesRepeatScaling) {
   scaler.CheckNow(engine_.now());
   ASSERT_EQ(scaler.events().size(), 1u);
   engine_.Run();  // provisioning completes
-  // Still breached (window remembers), but once_per_group holds.
+  // Still breached (window remembers), but a group scales only once.
   scaler.CheckNow(engine_.now());
   EXPECT_EQ(scaler.events().size(), 1u);
 }

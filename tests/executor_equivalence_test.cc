@@ -22,8 +22,19 @@
 
 #include "common/fnv.h"
 #include "common/rng.h"
-#include "core/thrifty.h"
+#include "common/sim_time.h"
+#include "common/table_printer.h"
+#include "core/deployment_advisor.h"
+#include "core/service.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
 #include "oracles/dense_executor.h"
+#include "sim/cost_gauge.h"
+#include "sim/engine.h"
+#include "workload/log_generator.h"
+#include "workload/tenant_population.h"
 
 namespace thrifty {
 namespace {

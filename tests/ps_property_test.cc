@@ -8,7 +8,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "common/rng.h"
+#include "common/sim_time.h"
+#include "mppdb/catalog.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
+#include "routing/query_router.h"
+#include "sim/engine.h"
 
 namespace thrifty {
 namespace {

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
+#include "common/sim_time.h"
 #include "core/service.h"
-#include "core/thrifty.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "sim/engine.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include "core/thrifty.h"
+#include "common/sim_time.h"
+#include "common/status.h"
+#include "mppdb/catalog.h"
+#include "mppdb/cluster.h"
+#include "mppdb/instance.h"
+#include "mppdb/query_model.h"
+#include "placement/deployment_plan.h"
+#include "sim/engine.h"
+#include "workload/query_log.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

@@ -14,10 +14,18 @@
 
 #include <gtest/gtest.h>
 
+#include "activity/activity_vector.h"
+#include "activity/epoch.h"
+#include "activity/streamed_epochizer.h"
 #include "common/fnv.h"
+#include "common/interval.h"
 #include "common/rng.h"
-#include "core/thrifty.h"
+#include "common/sim_time.h"
 #include "oracles/dense_epochizer.h"
+#include "placement/exact.h"
+#include "placement/problem.h"
+#include "placement/two_step.h"
+#include "workload/tenant.h"
 
 namespace thrifty {
 namespace {

@@ -1,5 +1,5 @@
 // Streaming service unit tests: controller dynamics, ingest validation,
-// clock sources, and small end-to-end replay identity.
+// the virtual clock, and small end-to-end replay identity.
 
 #include "service/streaming_service.h"
 
@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "sim/engine.h"
+#include "sim/clock_source.h"
 
 namespace thrifty {
 namespace {
@@ -74,23 +74,6 @@ TEST(ClockSourceTest, VirtualClockIsMonotone) {
   EXPECT_EQ(clock.Now(), 500);
   clock.Advance(10);
   EXPECT_EQ(clock.Now(), 510);
-}
-
-TEST(ClockSourceTest, WallClockNeverDecreases) {
-  WallClock clock;
-  SimTime a = clock.Now();
-  SimTime b = clock.Now();
-  EXPECT_GE(a, 0);
-  EXPECT_GE(b, a);
-}
-
-TEST(ClockSourceTest, SimEngineClockTracksEngine) {
-  SimEngine engine;
-  SimEngineClock clock(&engine);
-  EXPECT_EQ(clock.Now(), 0);
-  engine.ScheduleAt(12345, [](SimTime) {});
-  engine.Run();
-  EXPECT_EQ(clock.Now(), 12345);
 }
 
 // --- Service fixtures -------------------------------------------------

@@ -1,4 +1,4 @@
-#include "exp/sweep_runner.h"
+#include "sweep_runner.h"
 
 #include <atomic>
 #include <cstdint>
