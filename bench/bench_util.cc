@@ -5,14 +5,9 @@
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "common/status.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
-#include "core/deployment_advisor.h"
 #include "mppdb/catalog.h"
-#include "placement/ffd.h"
-#include "placement/problem.h"
-#include "placement/two_step.h"
 #include "workload/log_generator.h"
 #include "workload/tenant_population.h"
 
@@ -412,62 +407,6 @@ std::vector<ActivityVector> EpochizeWorkload(const Workload& workload,
                                    workload.activity[i], epochs);
   });
   return vectors;
-}
-
-SolverRow RunSolver(GroupingSolver solver, const Workload& workload,
-                    const std::vector<ActivityVector>& vectors,
-                    int replication_factor, double sla_fraction,
-                    int solver_jobs, const GroupingSolution* warm_start,
-                    GroupingSolution* solution_out) {
-  auto problem = MakePackingProblem(workload.tenants, vectors,
-                                    replication_factor, sla_fraction);
-  if (!problem.ok()) {
-    std::cerr << "problem construction failed: " << problem.status() << "\n";
-    std::exit(1);
-  }
-  TwoStepOptions two_step_options;
-  two_step_options.solver_jobs = solver_jobs;
-  two_step_options.warm_start = warm_start;
-  auto solution = solver == GroupingSolver::kTwoStep
-                      ? SolveTwoStep(*problem, two_step_options)
-                      : SolveFfd(*problem);
-  if (!solution.ok()) {
-    std::cerr << "solver failed: " << solution.status() << "\n";
-    std::exit(1);
-  }
-  Status valid = VerifySolution(*problem, *solution);
-  if (!valid.ok()) {
-    std::cerr << "solution verification failed: " << valid << "\n";
-    std::exit(1);
-  }
-  SolverRow row;
-  row.solver = solver == GroupingSolver::kTwoStep ? "2-step" : "FFD";
-  row.nodes_requested = problem->TotalRequestedNodes();
-  row.nodes_used = solution->NodesUsed(replication_factor);
-  row.effectiveness = solution->ConsolidationEffectiveness(
-      replication_factor, row.nodes_requested);
-  row.average_group_size = solution->AverageGroupSize();
-  row.solve_seconds = solution->solve_seconds;
-  row.num_groups = solution->groups.size();
-  row.level_set_bytes = solution->LevelSetBytes();
-  row.level_set_dense_bytes = solution->LevelSetDenseBytes();
-  row.warm_groups_kept = solution->warm_groups_kept;
-  row.warm_groups_repaired = solution->warm_groups_repaired;
-  row.warm_members_evicted = solution->warm_members_evicted;
-  row.warm_members_missing = solution->warm_members_missing;
-  if (solution_out != nullptr) *solution_out = *std::move(solution);
-  return row;
-}
-
-std::vector<SolverRow> RunBothSolvers(
-    const Workload& workload, const std::vector<ActivityVector>& vectors,
-    int replication_factor, double sla_fraction, int solver_jobs) {
-  return {
-      RunSolver(GroupingSolver::kFfd, workload, vectors, replication_factor,
-                sla_fraction, solver_jobs),
-      RunSolver(GroupingSolver::kTwoStep, workload, vectors,
-                replication_factor, sla_fraction, solver_jobs),
-  };
 }
 
 void PrintBanner(const std::string& title, const std::string& description) {

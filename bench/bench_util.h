@@ -1,9 +1,8 @@
-// Shared harness code for the paper-reproduction benches (Fig 7.1-7.6).
-//
-// Each bench generates a §7.1 tenant workload, epochizes activity, runs the
-// FFD baseline and the two-step heuristic, and prints the same series the
-// paper's figures report: consolidation effectiveness (% nodes saved),
-// average tenant-group size, and algorithm execution time.
+// Shared harness code for the bench binaries: the command-line flags,
+// BenchReport (metrics, gates, the fingerprinted results table and
+// BENCH_<name>.json), and the §7.1 workload a consolidation bench starts
+// from: generate the tenants' activity, then epochize it. The Chapter 7
+// figure sweeps (Fig 7.1-7.6) run on it through paper_sweeps.cc.
 
 #ifndef THRIFTY_BENCH_BENCH_UTIL_H_
 #define THRIFTY_BENCH_BENCH_UTIL_H_
@@ -20,9 +19,7 @@
 #include "common/interval.h"
 #include "common/sim_time.h"
 #include "common/table_printer.h"
-#include "core/deployment_advisor.h"
 #include "mppdb/catalog.h"
-#include "placement/problem.h"
 #include "workload/log_generator.h"
 #include "workload/tenant.h"
 
@@ -41,10 +38,11 @@ struct BenchOptions {
   /// bit-identical for any value. 1 = sequential.
   int solver_jobs = 1;
   /// Warm-start sweep points from their neighbour's grouping
-  /// (--warm-start): fig7_1/fig7_5 add a sequential two-step pass that
-  /// seeds each point with the previous point's plan and records per-point
-  /// solver-time savings and effectiveness deltas. Off by default; the
-  /// fingerprinted cold results are unchanged either way.
+  /// (--warm-start): the figure sweeps that declare a warm pass (fig7_1,
+  /// fig7_5) add a sequential two-step pass that seeds each point with the
+  /// previous point's plan and records per-point solver-time savings and
+  /// effectiveness deltas. Off by default; the fingerprinted cold results
+  /// are unchanged either way.
   bool warm_start = false;
   /// Base seed for the sweep's deterministic trial streams (--seed=S).
   uint64_t seed = 42;
@@ -205,7 +203,9 @@ struct ExperimentConfig {
   /// used 100.
   int sessions_per_class = 25;
   uint64_t seed = 42;
-  LogComposerOptions composer;
+  LogComposerOptions composer{};
+
+  bool operator==(const ExperimentConfig&) const = default;
 };
 
 /// \brief A generated multi-tenant workload (activity-only form).
@@ -227,47 +227,9 @@ std::vector<ActivityVector> EpochizeWorkload(const Workload& workload,
                                              SimDuration epoch_size,
                                              int jobs = 1);
 
-/// \brief Result row of one solver run.
-struct SolverRow {
-  std::string solver;
-  double effectiveness = 0;       // fraction of requested nodes saved
-  double average_group_size = 0;  // tenants per tenant-group
-  double solve_seconds = 0;
-  int64_t nodes_used = 0;
-  int64_t nodes_requested = 0;
-  size_t num_groups = 0;
-  size_t level_set_bytes = 0;        // sparse group-level-set footprint
-  size_t level_set_dense_bytes = 0;  // dense-bitmap equivalent footprint
-  size_t warm_groups_kept = 0;       // warm-started solves only
-  size_t warm_groups_repaired = 0;
-  size_t warm_members_evicted = 0;
-  size_t warm_members_missing = 0;
-};
-
-/// \brief Runs one solver over the epochized problem (verifying the
-/// solution) and summarizes it. `solver_jobs` threads the solve itself;
-/// the result is identical for any value. For the two-step solver,
-/// `warm_start` optionally seeds the solve with a previous grouping and
-/// `solution_out` optionally receives the full grouping so callers can
-/// chain warm starts across sweep points.
-SolverRow RunSolver(GroupingSolver solver, const Workload& workload,
-                    const std::vector<ActivityVector>& vectors,
-                    int replication_factor, double sla_fraction,
-                    int solver_jobs = 1,
-                    const GroupingSolution* warm_start = nullptr,
-                    GroupingSolution* solution_out = nullptr);
-
 /// \brief Current process peak resident set size in bytes (0 if the
 /// platform doesn't report it).
 size_t PeakRssBytes();
-
-/// \brief Runs FFD then the two-step heuristic.
-std::vector<SolverRow> RunBothSolvers(const Workload& workload,
-                                      const std::vector<ActivityVector>&
-                                          vectors,
-                                      int replication_factor,
-                                      double sla_fraction,
-                                      int solver_jobs = 1);
 
 /// \brief Prints a figure banner.
 void PrintBanner(const std::string& title, const std::string& description);

@@ -75,6 +75,8 @@ struct LogComposerOptions {
   /// across workers and the composed logs/activity are byte-identical for
   /// any value. 1 = sequential.
   int jobs = 1;
+
+  bool operator==(const LogComposerOptions&) const = default;
 };
 
 /// \brief Composes multi-day tenant logs from Step-1 sessions.

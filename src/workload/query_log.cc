@@ -7,7 +7,7 @@
 #include <sstream>
 #include <string>
 
-#include "activity/streamed_epochizer.h"
+#include "activity/activity_vector.h"
 #include "common/bitmap.h"
 
 namespace thrifty {
@@ -90,19 +90,15 @@ Result<std::vector<TenantLog>> ReadLogsCsv(std::istream& is) {
   return out;
 }
 
-double ConditionalActiveTenantRatio(const std::vector<TenantLog>& logs,
-                                    SimTime begin, SimTime end,
-                                    SimDuration epoch_size) {
-  if (logs.empty() || end <= begin || epoch_size <= 0) return 0;
-  EpochConfig epochs{epoch_size, begin, end};
+double ConditionalActiveTenantRatio(
+    const std::vector<ActivityVector>& vectors) {
+  if (vectors.empty()) return 0;
   // Each tenant counts once per epoch (its sparse words already merge
   // intervals sharing an epoch); the busy-epoch set is the OR of all
   // tenants' words, so only one bit per epoch is ever materialized.
-  DynamicBitmap busy_epochs(epochs.NumEpochs());
+  DynamicBitmap busy_epochs(vectors.front().num_epochs());
   uint64_t total = 0;
-  for (const auto& log : logs) {
-    const ActivityVector vector =
-        EpochizeIntervals(log.tenant_id, log.ActivityIntervals(), epochs);
+  for (const ActivityVector& vector : vectors) {
     total += vector.ActiveEpochs();
     const auto& word_indices = vector.word_indices();
     const auto& word_bits = vector.word_bits();
@@ -113,7 +109,7 @@ double ConditionalActiveTenantRatio(const std::vector<TenantLog>& logs,
   size_t busy = busy_epochs.Popcount();
   if (busy == 0) return 0;
   return static_cast<double>(total) /
-         (static_cast<double>(busy) * static_cast<double>(logs.size()));
+         (static_cast<double>(busy) * static_cast<double>(vectors.size()));
 }
 
 double AverageActiveTenantRatio(const std::vector<TenantLog>& logs,

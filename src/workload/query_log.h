@@ -14,6 +14,8 @@
 
 namespace thrifty {
 
+class ActivityVector;
+
 /// \brief One logged query execution.
 struct QueryLogEntry {
   SimTime submit_time = 0;
@@ -57,15 +59,14 @@ double AverageActiveTenantRatio(const std::vector<TenantLog>& logs,
                                 SimTime begin, SimTime end);
 
 /// \brief Mean of (#active tenants / #tenants) over *busy* epochs only
-/// (epochs with at least one active tenant).
+/// (epochs with at least one active tenant), over tenants' activity
+/// vectors on one epoch grid.
 ///
 /// Unlike the time-average, this conditional ratio rises when the same
 /// per-tenant activity is concentrated into fewer clock hours — the effect
 /// the §7.4 "higher active tenant ratio" scenarios (single time zone, no
 /// lunch hour) produce.
-double ConditionalActiveTenantRatio(const std::vector<TenantLog>& logs,
-                                    SimTime begin, SimTime end,
-                                    SimDuration epoch_size = 10 * kSecond);
+double ConditionalActiveTenantRatio(const std::vector<ActivityVector>& vectors);
 
 }  // namespace thrifty
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "activity/activity_vector.h"
 #include "workload/tenant_population.h"
 
 namespace thrifty {
@@ -181,8 +182,16 @@ TEST_F(LogGeneratorTest, NoLunchAndSingleZoneRaiseActiveRatio) {
   double avg_b = AverageActiveTenantRatio(*logs_b, 0, 7 * kDay);
   EXPECT_NEAR(avg_b, avg_a, avg_a * 0.3);
   // The conditional (busy-epoch) ratio is what rises — the §7.4 effect.
-  double cond_a = ConditionalActiveTenantRatio(*logs_a, 0, 7 * kDay);
-  double cond_b = ConditionalActiveTenantRatio(*logs_b, 0, 7 * kDay);
+  const EpochConfig epochs{10 * kSecond, 0, 7 * kDay};
+  auto conditional = [&](const std::vector<TenantLog>& logs) {
+    std::vector<ActivityVector> vectors;
+    for (const TenantLog& log : logs) {
+      vectors.push_back(MakeActivityVector(log, epochs));
+    }
+    return ConditionalActiveTenantRatio(vectors);
+  };
+  double cond_a = conditional(*logs_a);
+  double cond_b = conditional(*logs_b);
   EXPECT_GT(cond_b, cond_a * 1.5);
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "activity/activity_vector.h"
+
 namespace thrifty {
 namespace {
 
@@ -108,17 +110,20 @@ TEST(QueryLogTest, ConditionalRatioExceedsAverageWhenConcentrated) {
   b.tenant_id = 2;
   b.entries.push_back({0, 0, 10 * kSecond, -1});
   double average = AverageActiveTenantRatio({a, b}, 0, 100 * kSecond);
-  double conditional =
-      ConditionalActiveTenantRatio({a, b}, 0, 100 * kSecond, kSecond);
+  const EpochConfig epochs{kSecond, 0, 100 * kSecond};
+  double conditional = ConditionalActiveTenantRatio(
+      {MakeActivityVector(a, epochs), MakeActivityVector(b, epochs)});
   EXPECT_DOUBLE_EQ(average, 0.1);
   EXPECT_DOUBLE_EQ(conditional, 1.0);  // both active in every busy epoch
 }
 
 TEST(QueryLogTest, ConditionalRatioEmptyInputs) {
-  EXPECT_EQ(ConditionalActiveTenantRatio({}, 0, 100, 10), 0);
+  EXPECT_EQ(ConditionalActiveTenantRatio({}), 0);
   TenantLog idle;
   idle.tenant_id = 1;
-  EXPECT_EQ(ConditionalActiveTenantRatio({idle}, 0, 100, 10), 0);
+  EXPECT_EQ(ConditionalActiveTenantRatio(
+                {MakeActivityVector(idle, EpochConfig{10, 0, 100})}),
+            0);
 }
 
 }  // namespace

@@ -142,7 +142,9 @@ TEST_F(ReconsolidationTest, AlwaysActiveRegroupedTenantGetsDedicatedGroup) {
       dedicated_found = true;
     }
     for (const auto& t : group.tenants) {
-      if (t.id == 1) EXPECT_EQ(group.tenants.size(), 1u);
+      if (t.id == 1) {
+        EXPECT_EQ(group.tenants.size(), 1u);
+      }
     }
   }
   EXPECT_TRUE(dedicated_found);
