@@ -112,7 +112,8 @@ int main(int argc, char** argv) {
 
   for (size_t point = 0; point < points.size(); ++point) {
     const int num_tenants = points[point];
-    const std::string suffix = "_" + std::to_string(num_tenants);
+    std::string suffix = "_";
+    suffix += std::to_string(num_tenants);
 
     // --- Workload: population + streamed compose->epochize ------------
     ExperimentConfig config;
@@ -221,6 +222,14 @@ int main(int argc, char** argv) {
                      static_cast<double>(stats.groups_reopened));
     report.AddMetric("hier_merge_pool_tenants" + suffix,
                      static_cast<double>(stats.merge_pool_tenants));
+    report.AddMetric("hier_class_tasks" + suffix,
+                     static_cast<double>(stats.class_tasks));
+    report.AddMetric("hier_max_class_task_tenants" + suffix,
+                     static_cast<double>(stats.max_class_task_tenants));
+    report.AddMetric("hier_merge_chunks" + suffix,
+                     static_cast<double>(stats.merge_chunks));
+    report.AddMetric("hier_max_merge_chunk_tenants" + suffix,
+                     static_cast<double>(stats.max_merge_chunk_tenants));
     report.AddMetric("peak_rss_after_bytes" + suffix,
                      static_cast<double>(PeakRssBytes()));
     std::cout << "n=" << num_tenants << " hierarchical: "
@@ -231,6 +240,11 @@ int main(int argc, char** argv) {
               << FormatDouble(hier_seconds, 1) << "s ("
               << stats.num_logical_shards << " shards), plan "
               << Hex64(hier_fp) << "\n";
+    std::cout << "n=" << num_tenants << " schedule: " << stats.class_tasks
+              << " shard-class tasks (largest " << stats.max_class_task_tenants
+              << " tenants), " << stats.merge_chunks
+              << " merge chunks (largest " << stats.max_merge_chunk_tenants
+              << " tenants)\n";
 
     // --- The same solve with four shards in flight ---------------------
     HierarchicalOptions fanned = hier_options;

@@ -3,38 +3,10 @@
 #include <algorithm>
 #include <exception>
 #include <future>
-#include <utility>
 
 #include "common/thread_pool.h"
 
 namespace thrifty {
-
-RunningStats& TrialRecorder::Stats(const std::string& name) {
-  return stats_[name];
-}
-
-Histogram& TrialRecorder::Hist(const std::string& name, double min_value,
-                               double growth) {
-  auto it = hists_.find(name);
-  if (it == hists_.end()) {
-    it = hists_.emplace(name, Histogram(min_value, growth)).first;
-  }
-  return it->second;
-}
-
-void TrialRecorder::Merge(const TrialRecorder& other) {
-  for (const auto& [name, stats] : other.stats_) {
-    stats_[name].Merge(stats);
-  }
-  for (const auto& [name, hist] : other.hists_) {
-    auto it = hists_.find(name);
-    if (it == hists_.end()) {
-      hists_.emplace(name, hist);
-    } else {
-      it->second.Merge(hist);
-    }
-  }
-}
 
 void SweepRunner::RunIndexed(
     size_t num_trials, const std::function<void(TrialContext&)>& body) const {
@@ -70,18 +42,6 @@ void SweepRunner::RunIndexed(
     }
   }
   if (first_error) std::rethrow_exception(first_error);
-}
-
-TrialRecorder SweepRunner::Run(
-    size_t num_trials,
-    const std::function<void(TrialContext&, TrialRecorder&)>& fn) const {
-  std::vector<TrialRecorder> recorders(num_trials);
-  RunIndexed(num_trials, [&](TrialContext& context) {
-    fn(context, recorders[context.trial_index]);
-  });
-  TrialRecorder merged;
-  for (const TrialRecorder& recorder : recorders) merged.Merge(recorder);
-  return merged;
 }
 
 }  // namespace thrifty

@@ -8,13 +8,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/rng.h"
-#include "common/stats.h"
 
 namespace thrifty {
 
@@ -33,29 +29,6 @@ struct TrialContext {
   /// Private deterministic stream, a function of (sweep seed, trial index)
   /// only — never of scheduling order or job count.
   Rng rng{0};
-};
-
-/// \brief Named RunningStats/Histogram accumulators filled by one trial and
-/// merged across trials in trial order.
-class TrialRecorder {
- public:
-  /// \brief The stats accumulator `name`, created on first use.
-  RunningStats& Stats(const std::string& name);
-
-  /// \brief The histogram `name`; bucket parameters apply on first use and
-  /// must match across trials (Histogram::Merge requirement).
-  Histogram& Hist(const std::string& name, double min_value = 1.0,
-                  double growth = 1.05);
-
-  /// \brief Folds another recorder's accumulators into this one.
-  void Merge(const TrialRecorder& other);
-
-  const std::map<std::string, RunningStats>& stats() const { return stats_; }
-  const std::map<std::string, Histogram>& hists() const { return hists_; }
-
- private:
-  std::map<std::string, RunningStats> stats_;
-  std::map<std::string, Histogram> hists_;
 };
 
 /// \brief Runs N independent trials, optionally across a thread pool.
@@ -86,15 +59,9 @@ class SweepRunner {
     return results;
   }
 
-  /// \brief Runs `fn(context, recorder)` per trial and merges the per-trial
-  /// recorders in trial order.
-  TrialRecorder Run(
-      size_t num_trials,
-      const std::function<void(TrialContext&, TrialRecorder&)>& fn) const;
-
  private:
-  /// \brief Shared driver: executes `body` once per trial with the
-  /// deterministic per-trial context, in parallel when jobs > 1.
+  /// \brief Executes `body` once per trial with the deterministic
+  /// per-trial context, in parallel when jobs > 1.
   void RunIndexed(size_t num_trials,
                   const std::function<void(TrialContext&)>& body) const;
 

@@ -99,13 +99,22 @@ Result<DeploymentPlan> BuildDeploymentPlan(
 }
 
 std::string GroupMembershipStream(const GroupDeployment& group) {
-  std::string stream = "g" + std::to_string(group.group_id) + "[";
+  // Appended piece by piece: `"literal" + std::to_string(...)` draws a
+  // GCC -Wrestrict false positive from the inlined string concatenation.
+  std::string stream = "g";
+  stream += std::to_string(group.group_id);
+  stream += '[';
   std::vector<TenantId> ids;
   ids.reserve(group.tenants.size());
   for (const auto& tenant : group.tenants) ids.push_back(tenant.id);
   std::sort(ids.begin(), ids.end());
-  for (TenantId id : ids) stream += std::to_string(id) + ",";
-  stream += "]n" + std::to_string(group.cluster.TotalNodes()) + ";";
+  for (TenantId id : ids) {
+    stream += std::to_string(id);
+    stream += ',';
+  }
+  stream += "]n";
+  stream += std::to_string(group.cluster.TotalNodes());
+  stream += ';';
   return stream;
 }
 

@@ -124,6 +124,25 @@ std::vector<std::vector<size_t>> ComputeShardPartition(
 
 namespace {
 
+/// One unit of the shard phase: the items of one size class within one
+/// logical shard, solved as a single-class SolveTwoStep sub-problem.
+struct ClassTask {
+  size_t shard = 0;
+  std::vector<size_t> items;
+};
+
+/// Claim order for a ParallelFor over tasks of the given sizes: largest
+/// first, ties in listed order, so the longest task starts before any
+/// worker could pick up a short one and the last task to finish is short.
+std::vector<size_t> LargestFirst(const std::vector<size_t>& sizes) {
+  std::vector<size_t> order(sizes.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return sizes[a] > sizes[b];
+  });
+  return order;
+}
+
 /// A group produced by a shard solve, addressable in canonical
 /// (shard, within-shard index) order.
 struct GroupRef {
@@ -144,6 +163,14 @@ struct MergeChunk {
   std::vector<GroupRef> absorbers;
 
   size_t GroupsConsumed() const { return reopened.size() + absorbers.size(); }
+
+  /// Pooled tenants: the members of every re-opened and absorber group.
+  size_t Tenants() const {
+    size_t tenants = 0;
+    for (const GroupRef& ref : reopened) tenants += ref.Count();
+    for (const GroupRef& ref : absorbers) tenants += ref.Count();
+    return tenants;
+  }
 };
 
 /// One size class's merge plan: which groups stay untouched and which merge
@@ -229,12 +256,7 @@ ClassMergePlan PlanClassMerge(int nodes, std::vector<GroupRef> refs,
   for (auto& chunk : class_chunks) {
     stats->groups_reopened += chunk.reopened.size();
     stats->absorbers_opened += chunk.absorbers.size();
-    for (const GroupRef& ref : chunk.reopened) {
-      stats->merge_pool_tenants += ref.Count();
-    }
-    for (const GroupRef& ref : chunk.absorbers) {
-      stats->merge_pool_tenants += ref.Count();
-    }
+    stats->merge_pool_tenants += chunk.Tenants();
     plan.chunk_ids.push_back(chunks->size());
     chunks->push_back(std::move(chunk));
   }
@@ -316,37 +338,64 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
     return solution;
   }
 
-  // Per-shard solves, one ParallelFor task per logical shard. Results land
-  // in per-shard slots and are merged in shard order, so scheduling never
-  // reaches the output.
+  // Shard solves, one ParallelFor task per (shard, size class) pair. Step 1
+  // of the two-step solve splits by requested nodes and grows each class on
+  // its own, so each task is SolveTwoStep on a single-class sub-problem and
+  // the classes of one shard spread over the workers instead of queueing
+  // behind each other. Tasks are listed shard-major, classes descending
+  // (SolveTwoStep's own output order), and claimed largest first; results
+  // land in per-task slots and are concatenated in listed order, so each
+  // shard's groups -- and the plan -- never see the schedule.
   const auto solve_start = std::chrono::steady_clock::now();
   const int shard_jobs = std::max(1, options.shard_jobs);
   std::unique_ptr<ThreadPool> pool;
   if (shard_jobs > 1) {
     pool = std::make_unique<ThreadPool>(shard_jobs - 1);
   }
-  std::vector<GroupingSolution> shard_solutions(num_shards);
-  std::vector<Status> shard_statuses(num_shards, Status::OK());
-  ParallelFor(pool.get(), num_shards, [&](size_t s) {
-    PackingProblem shard_problem;
-    shard_problem.replication_factor = problem.replication_factor;
-    shard_problem.sla_fraction = problem.sla_fraction;
-    shard_problem.num_epochs = problem.num_epochs;
-    shard_problem.items.reserve(partition[s].size());
+  std::vector<ClassTask> tasks;
+  for (size_t s = 0; s < num_shards; ++s) {
+    std::map<int, std::vector<size_t>, std::greater<int>> by_class;
     for (size_t item_index : partition[s]) {
-      shard_problem.items.push_back(problem.items[item_index]);
+      by_class[problem.items[item_index].nodes].push_back(item_index);
     }
-    TwoStepOptions shard_options;
-    shard_options.solver_jobs = options.solver_jobs;
-    auto solved = SolveTwoStep(shard_problem, shard_options);
+    for (auto& [nodes, items] : by_class) {
+      tasks.push_back(ClassTask{s, std::move(items)});
+    }
+  }
+  std::vector<size_t> task_sizes;
+  for (const ClassTask& task : tasks) task_sizes.push_back(task.items.size());
+  const std::vector<size_t> task_order = LargestFirst(task_sizes);
+  stats->class_tasks = tasks.size();
+  stats->max_class_task_tenants = task_sizes[task_order.front()];
+  std::vector<GroupingSolution> task_solutions(tasks.size());
+  std::vector<Status> task_statuses(tasks.size(), Status::OK());
+  ParallelFor(pool.get(), task_order.size(), [&](size_t k) {
+    const size_t t = task_order[k];
+    PackingProblem task_problem;
+    task_problem.replication_factor = problem.replication_factor;
+    task_problem.sla_fraction = problem.sla_fraction;
+    task_problem.num_epochs = problem.num_epochs;
+    task_problem.items.reserve(tasks[t].items.size());
+    for (size_t item_index : tasks[t].items) {
+      task_problem.items.push_back(problem.items[item_index]);
+    }
+    TwoStepOptions task_options;
+    task_options.solver_jobs = options.solver_jobs;
+    auto solved = SolveTwoStep(task_problem, task_options);
     if (solved.ok()) {
-      shard_solutions[s] = *std::move(solved);
+      task_solutions[t] = *std::move(solved);
     } else {
-      shard_statuses[s] = solved.status();
+      task_statuses[t] = solved.status();
     }
   });
-  for (const Status& status : shard_statuses) {
+  for (const Status& status : task_statuses) {
     THRIFTY_RETURN_NOT_OK(status);
+  }
+  std::vector<std::vector<TenantGroupResult>> shard_groups(num_shards);
+  for (size_t t = 0; t < tasks.size(); ++t) {
+    for (auto& group : task_solutions[t].groups) {
+      shard_groups[tasks[t].shard].push_back(std::move(group));
+    }
   }
   stats->shard_solve_seconds = SecondsSince(solve_start);
 
@@ -357,7 +406,7 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
   const auto merge_start = std::chrono::steady_clock::now();
   std::map<int, std::vector<GroupRef>, std::greater<int>> classes;
   for (size_t s = 0; s < num_shards; ++s) {
-    const auto& groups = shard_solutions[s].groups;
+    const auto& groups = shard_groups[s];
     for (size_t g = 0; g < groups.size(); ++g) {
       classes[groups[g].max_nodes].push_back(GroupRef{s, g, &groups[g]});
       ++stats->groups_before_merge;
@@ -369,17 +418,26 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
     items_by_id.emplace(item.tenant_id, &item);
   }
   // Plan first (pure, serial), then fan the bounded merge chunks over the
-  // same worker pool as the shard solves; each chunk's result lands in its
-  // own slot, so the output order is the plan's order, not the schedule's.
+  // same worker pool as the shard solves, claimed largest first; each
+  // chunk's result lands in its own slot, so the output order is the plan's
+  // order, not the schedule's.
   std::vector<MergeChunk> chunks;
   std::vector<ClassMergePlan> plans;
   for (auto& [nodes, refs] : classes) {
     plans.push_back(
         PlanClassMerge(nodes, std::move(refs), options, &chunks, stats));
   }
+  std::vector<size_t> chunk_sizes;
+  for (const MergeChunk& chunk : chunks) chunk_sizes.push_back(chunk.Tenants());
+  const std::vector<size_t> chunk_order = LargestFirst(chunk_sizes);
+  stats->merge_chunks = chunks.size();
+  if (!chunk_order.empty()) {
+    stats->max_merge_chunk_tenants = chunk_sizes[chunk_order.front()];
+  }
   std::vector<std::vector<TenantGroupResult>> chunk_groups(chunks.size());
   std::vector<Status> chunk_statuses(chunks.size(), Status::OK());
-  ParallelFor(pool.get(), chunks.size(), [&](size_t c) {
+  ParallelFor(pool.get(), chunk_order.size(), [&](size_t k) {
+    const size_t c = chunk_order[k];
     auto merged = SolveMergeChunk(problem, chunks[c], items_by_id, options);
     if (merged.ok()) {
       chunk_groups[c] = *std::move(merged);

@@ -13,10 +13,14 @@
 //      128-bit signature — so tenants with overlapping active phases land
 //      in the same shard, then the signature-sorted order is chopped into
 //      logical shards of ~shard_tenant_target tenants.
-//   2. *Solve*: each shard is an independent LIVBPwFC sub-instance solved
-//      with the existing SolveTwoStep core; shards fan across workers via
-//      ParallelFor (shard_jobs), each composing with the intra-shard
-//      candidate-argmin sharding (solver_jobs).
+//   2. *Solve*: each shard is an independent LIVBPwFC sub-instance, and
+//      the two-step solve's step 1 splits it further by requested nodes
+//      into size classes that are grown independently. The unit of work is
+//      therefore one (shard, size class) pair, solved with the existing
+//      SolveTwoStep core as a single-class sub-problem. All pairs fan
+//      across workers in one ParallelFor (shard_jobs), claimed largest
+//      first so no worker idles while one big shard finishes; each task
+//      composes with the candidate-argmin sharding (solver_jobs).
 //   3. *Merge*: sharding leaves each shard's last group per size class
 //      under-filled (the boundary waste the flat solver would not have). A
 //      central pass re-opens exactly the groups whose fill is below
@@ -26,17 +30,20 @@
 //      absorbers (the repair machinery keeps the absorber seeds open so
 //      pooled tenants merge into spare capacity instead of fragmenting).
 //      Merge solves are chunked at ~shard_tenant_target pooled tenants and
-//      fanned over the same workers, so the pass never re-creates the
-//      quadratic central solve it exists to avoid.
+//      fanned over the same workers (largest chunk first), so the pass
+//      never re-creates the quadratic central solve it exists to avoid.
 //
 // Determinism contract: the logical shard partition is a pure function of
 // the tenant set (ids + activity + shard_tenant_target) —
 // never of shard_jobs or solver_jobs, which only change how the same
-// per-shard solves are spread across threads. Group output order is
-// canonical (size class descending, then shard-major, then the merge
-// pass's groups), and the merge pass is a function of the per-shard plans
-// alone, so the returned plan is byte-identical at any shard_jobs x
-// solver_jobs. tests/hierarchical_test.cc locks this, and bench_scale_sweep
+// (shard, size class) solves are spread across threads. Each task's groups
+// land in its own slot; a shard's groups are its tasks' groups in
+// descending class order — exactly what SolveTwoStep on the whole shard
+// emits — whatever order the tasks were claimed and finished in. Group
+// output order is canonical (size class descending, then shard-major, then
+// the merge pass's groups), and the merge pass is a function of the
+// per-shard plans alone, so the returned plan is byte-identical at any
+// shard_jobs x solver_jobs. tests/hierarchical_test.cc locks this, and bench_scale_sweep
 // records the fingerprints.
 
 #ifndef THRIFTY_PLACEMENT_HIERARCHICAL_H_
@@ -55,8 +62,9 @@ namespace thrifty {
 /// merge_fill_threshold change the plan (they define the logical partition
 /// and the merge rule, both pure functions of the tenant set).
 struct HierarchicalOptions {
-  /// Worker threads fanning the shard solves (values < 1 clamp to 1, the
-  /// serial path). Composes multiplicatively with solver_jobs.
+  /// Worker threads fanning the (shard, size class) solves and the merge
+  /// chunks (values < 1 clamp to 1, the serial path). Composes
+  /// multiplicatively with solver_jobs.
   int shard_jobs = 1;
   /// TwoStepOptions::solver_jobs for every per-shard solve and the merge
   /// solve (values < 1 clamp to 1; see the TwoStepOptions contract).
@@ -88,6 +96,14 @@ struct HierarchicalStats {
   size_t absorbers_opened = 0;
   /// Tenants pooled into the central merge solve (re-opened + absorbers).
   size_t merge_pool_tenants = 0;
+  /// Schedule counters, deterministic like the ones above: the (shard, size
+  /// class) tasks of the shard phase and the merge chunks, each with its
+  /// largest member count (two-step cost grows ~quadratically in it, so the
+  /// largest task bounds the phase's wall time on any number of workers).
+  size_t class_tasks = 0;
+  size_t max_class_task_tenants = 0;
+  size_t merge_chunks = 0;
+  size_t max_merge_chunk_tenants = 0;
   double signature_seconds = 0;
   double shard_solve_seconds = 0;
   double merge_seconds = 0;

@@ -4,6 +4,7 @@
 // at every shard_jobs x solver_jobs combination.
 
 #include <algorithm>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -263,6 +264,109 @@ TEST(HierarchicalTest, SignatureDirected) {
   auto zero_bands =
       ComputeActivitySignature(ActivityVector::FromBitmap(2, early), 0);
   EXPECT_TRUE(one_band == zero_bands);
+}
+
+// A skewed instance whose partition order is known: every tenant has one
+// 12-epoch run inside the same 64-epoch band, so all signatures and active
+// counts tie and the partition deals tenants to shards in id order
+// (shard = (id - 1) % 4 at 160 tenants and shard_tenant_target 40). The
+// 2-node class holds most tenants, and shard 3 holds only 2-node tenants.
+Instance SkewedInstance() {
+  Instance inst;
+  const size_t num_epochs = 2048;
+  for (TenantId id = 1; id <= 160; ++id) {
+    DynamicBitmap bits(num_epochs);
+    const size_t begin = 5 * 64 + static_cast<size_t>(id * 37 % 52);
+    bits.SetRange(begin, begin + 12);
+    inst.activities.push_back(ActivityVector::FromBitmap(id, bits));
+    TenantSpec spec;
+    spec.id = id;
+    spec.requested_nodes = 2;
+    if ((id - 1) % 4 != 3) {
+      if (id % 5 == 0) spec.requested_nodes = 4;
+      if (id % 7 == 0) spec.requested_nodes = 8;
+    }
+    inst.tenants.push_back(spec);
+  }
+  return inst;
+}
+
+TEST(HierarchicalTest, ClassSplitEqualsPerShardTwoStep) {
+  Instance inst = SkewedInstance();
+  auto problem = MakePackingProblem(inst.tenants, inst.activities, 3, 0.99);
+  ASSERT_TRUE(problem.ok());
+  HierarchicalOptions options;
+  options.shard_tenant_target = 40;
+  options.merge_fill_threshold = 0;
+  const auto partition = ComputeShardPartition(*problem, options);
+  ASSERT_EQ(partition.size(), 4u);
+  std::set<int> shard3_classes;
+  for (size_t index : partition[3]) {
+    shard3_classes.insert(problem->items[index].nodes);
+  }
+  EXPECT_EQ(shard3_classes, std::set<int>{2});
+  size_t two_node = 0;
+  for (const auto& item : problem->items) two_node += item.nodes == 2;
+  EXPECT_GT(2 * two_node, problem->items.size());
+
+  // The reference: SolveTwoStep on each whole shard, its groups listed
+  // class by class in descending size, shard-major within a class.
+  std::vector<GroupingSolution> per_shard;
+  for (const auto& shard : partition) {
+    PackingProblem shard_problem = *problem;
+    shard_problem.items.clear();
+    for (size_t index : shard) {
+      shard_problem.items.push_back(problem->items[index]);
+    }
+    auto solved = SolveTwoStep(shard_problem);
+    ASSERT_TRUE(solved.ok());
+    per_shard.push_back(*std::move(solved));
+  }
+  std::vector<TenantGroupResult> expected;
+  for (int nodes : {8, 4, 2}) {
+    for (const auto& shard_solution : per_shard) {
+      for (const auto& group : shard_solution.groups) {
+        if (group.max_nodes == nodes) expected.push_back(group);
+      }
+    }
+  }
+
+  for (int shard_jobs : {1, 2, 4, 8}) {
+    HierarchicalOptions parallel = options;
+    parallel.shard_jobs = shard_jobs;
+    auto solution = SolveHierarchical(*problem, parallel);
+    ASSERT_TRUE(solution.ok()) << "shard_jobs=" << shard_jobs;
+    ASSERT_EQ(solution->groups.size(), expected.size())
+        << "shard_jobs=" << shard_jobs;
+    for (size_t g = 0; g < expected.size(); ++g) {
+      EXPECT_EQ(solution->groups[g].max_nodes, expected[g].max_nodes)
+          << "shard_jobs=" << shard_jobs << " group=" << g;
+      EXPECT_EQ(solution->groups[g].tenant_ids, expected[g].tenant_ids)
+          << "shard_jobs=" << shard_jobs << " group=" << g;
+    }
+  }
+}
+
+TEST(HierarchicalTest, ScheduleCountersPinned) {
+  // Six shards of ~43 tenants, each holding all three size classes: 18
+  // shard-class tasks. The counters count work, not threads, so they must
+  // not move with shard_jobs; a change to them is a change to the work.
+  Instance inst = RandomInstance(31, 260, 512);
+  auto problem = MakePackingProblem(inst.tenants, inst.activities, 3, 0.99);
+  ASSERT_TRUE(problem.ok());
+  for (int shard_jobs : {1, 4}) {
+    HierarchicalOptions options;
+    options.shard_tenant_target = 48;
+    options.shard_jobs = shard_jobs;
+    HierarchicalStats stats;
+    auto solution = SolveHierarchical(*problem, options, &stats);
+    ASSERT_TRUE(solution.ok()) << "shard_jobs=" << shard_jobs;
+    EXPECT_EQ(stats.class_tasks, 18u) << "shard_jobs=" << shard_jobs;
+    EXPECT_EQ(stats.max_class_task_tenants, 19u) << "shard_jobs=" << shard_jobs;
+    EXPECT_EQ(stats.merge_chunks, 2u) << "shard_jobs=" << shard_jobs;
+    EXPECT_EQ(stats.max_merge_chunk_tenants, 84u)
+        << "shard_jobs=" << shard_jobs;
+  }
 }
 
 TEST(HierarchicalTest, ParallelismKnobsClampLikeTwoStep) {

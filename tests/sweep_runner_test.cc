@@ -10,53 +10,6 @@
 namespace thrifty {
 namespace {
 
-// A trial body with enough arithmetic that any ordering or stream mixup
-// would change the merged numbers.
-void RecordTrial(TrialContext& context, TrialRecorder& recorder) {
-  RunningStats& latency = recorder.Stats("latency");
-  Histogram& hist = recorder.Hist("normalized", 0.01, 1.02);
-  for (int draw = 0; draw < 200; ++draw) {
-    double v = context.rng.NextExponential(1.0 + 0.1 * static_cast<double>(
-                                                       context.trial_index));
-    latency.Add(v);
-    hist.Add(v);
-  }
-  recorder.Stats("per_trial_mean").Add(latency.Mean());
-}
-
-TrialRecorder RunSweep(int jobs) {
-  SweepRunner runner({jobs, /*seed=*/1234});
-  return runner.Run(16, RecordTrial);
-}
-
-TEST(SweepRunnerTest, MergedStatsBitIdenticalAcrossJobCounts) {
-  TrialRecorder serial = RunSweep(1);
-  TrialRecorder parallel = RunSweep(4);
-  TrialRecorder oversubscribed = RunSweep(32);  // more workers than trials
-
-  for (const TrialRecorder* other : {&parallel, &oversubscribed}) {
-    const RunningStats& a = serial.stats().at("latency");
-    const RunningStats& b = other->stats().at("latency");
-    EXPECT_EQ(a.count(), b.count());
-    // Bit-identical, not approximately equal: merge order is trial order
-    // regardless of completion order, so every intermediate rounding step
-    // is the same.
-    EXPECT_EQ(a.Mean(), b.Mean());
-    EXPECT_EQ(a.Variance(), b.Variance());
-    EXPECT_EQ(a.min(), b.min());
-    EXPECT_EQ(a.max(), b.max());
-    EXPECT_EQ(serial.stats().at("per_trial_mean").Mean(),
-              other->stats().at("per_trial_mean").Mean());
-    const Histogram& ha = serial.hists().at("normalized");
-    const Histogram& hb = other->hists().at("normalized");
-    EXPECT_EQ(ha.count(), hb.count());
-    EXPECT_EQ(ha.sum(), hb.sum());
-    EXPECT_EQ(ha.Percentile(0.5), hb.Percentile(0.5));
-    EXPECT_EQ(ha.Percentile(0.999), hb.Percentile(0.999));
-    EXPECT_EQ(ha.FractionAtMost(1.0), hb.FractionAtMost(1.0));
-  }
-}
-
 TEST(SweepRunnerTest, MapReturnsResultsInTrialOrder) {
   SweepRunner runner({4, 7});
   std::vector<size_t> indices = runner.Map<size_t>(
@@ -121,23 +74,6 @@ TEST(SweepRunnerTest, TrialStreamsDependOnlyOnSeedAndIndex) {
   EXPECT_NE(serial[0], serial[1]);
   // Distinct seeds get distinct streams.
   EXPECT_NE(collect(1, 100)[0], serial[0]);
-}
-
-TEST(SweepRunnerTest, RecorderMergeHandlesDisjointNames) {
-  SweepRunner runner({2, 5});
-  TrialRecorder merged = runner.Run(4, [](TrialContext& context,
-                                          TrialRecorder& recorder) {
-    if (context.trial_index % 2 == 0) {
-      recorder.Stats("even").Add(static_cast<double>(context.trial_index));
-      recorder.Hist("even_hist").Add(1.0);
-    } else {
-      recorder.Stats("odd").Add(static_cast<double>(context.trial_index));
-    }
-  });
-  EXPECT_EQ(merged.stats().at("even").count(), 2u);
-  EXPECT_EQ(merged.stats().at("odd").count(), 2u);
-  EXPECT_EQ(merged.hists().at("even_hist").count(), 2u);
-  EXPECT_DOUBLE_EQ(merged.stats().at("odd").Mean(), 2.0);
 }
 
 }  // namespace
