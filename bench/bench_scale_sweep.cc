@@ -40,6 +40,7 @@
 #include "bench_util.h"
 #include "common/fnv.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "mppdb/catalog.h"
 #include "placement/hierarchical.h"
@@ -149,7 +150,7 @@ int main(int argc, char** argv) {
       std::cerr << "composition failed: " << vectors.status() << "\n";
       return 1;
     }
-    report.AddMetric("workload_seconds" + suffix, Seconds(t0));
+    report.AddMetric("workload_seconds" + suffix, SecondsSince(t0));
     report.AddMetric("epochize_peak_bytes" + suffix,
                      static_cast<double>(gauge.peak_bytes()));
 
@@ -186,7 +187,7 @@ int main(int argc, char** argv) {
     HierarchicalStats stats;
     t0 = std::chrono::steady_clock::now();
     auto hier = SolveHierarchical(*problem, hier_options, &stats);
-    const double hier_seconds = Seconds(t0);
+    const double hier_seconds = SecondsSince(t0);
     if (!hier.ok()) {
       std::cerr << "hierarchical solve failed: " << hier.status() << "\n";
       return 1;
@@ -252,7 +253,7 @@ int main(int argc, char** argv) {
     HierarchicalStats fanned_stats;
     t0 = std::chrono::steady_clock::now();
     auto fanned_plan = SolveHierarchical(*problem, fanned, &fanned_stats);
-    const double fanned_seconds = Seconds(t0);
+    const double fanned_seconds = SecondsSince(t0);
     if (!fanned_plan.ok()) {
       std::cerr << "shard_jobs=4 solve failed: " << fanned_plan.status()
                 << "\n";
@@ -288,7 +289,7 @@ int main(int argc, char** argv) {
     if (num_tenants <= flat_max_tenants) {
       t0 = std::chrono::steady_clock::now();
       auto flat = SolveTwoStep(*problem);
-      const double flat_seconds = Seconds(t0);
+      const double flat_seconds = SecondsSince(t0);
       if (!flat.ok()) {
         std::cerr << "flat solve failed: " << flat.status() << "\n";
         return 1;

@@ -34,12 +34,13 @@
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
 
 namespace {
 
 using thrifty::Rng;
-using thrifty::bench::Seconds;
+using thrifty::SecondsSince;
 using thrifty::simd::Target;
 
 /// One timed primitive: runs `body` (which must fold its result into the
@@ -53,7 +54,7 @@ double TimeKernel(size_t words, Body&& body, uint64_t* checksum) {
   uint64_t acc = 0;
   auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) acc += body();
-  double secs = Seconds(t0);
+  double secs = SecondsSince(t0);
   *checksum ^= acc / static_cast<uint64_t>(iters);  // per-call value
   return secs * 1e9 / (static_cast<double>(iters) * words);
 }
@@ -95,19 +96,6 @@ std::vector<KernelRun> RunAll(size_t n) {
   r.name = "and_popcount";
   r.ns_per_word = TimeKernel(
       n, [&] { return k.and_popcount(in.a.data(), in.b.data(), n); },
-      &r.checksum);
-  runs.push_back(r);
-
-  r = {};
-  r.name = "or_reduce";
-  r.ns_per_word = TimeKernel(
-      n,
-      [&] {
-        // Re-seed dst each call so the OR has work to do; the copy is part
-        // of both targets' measurement equally.
-        std::copy(in.a.begin(), in.a.end(), in.dst.begin());
-        return k.or_reduce(in.dst.data(), in.b.data(), n);
-      },
       &r.checksum);
   runs.push_back(r);
 
@@ -296,7 +284,7 @@ int main(int argc, char** argv) {
         acc = acc * 0x9E3779B97F4A7C15ULL +
               fixture.EvalOnce(&scratch, c.incumbent);
       }
-      us[t] = Seconds(t0) * 1e6 / iters;
+      us[t] = SecondsSince(t0) * 1e6 / iters;
       checks[t] = acc;
     }
     simd::SetSimdTargetForTest(dispatched);

@@ -31,6 +31,7 @@
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "mppdb/catalog.h"
 #include "placement/exact.h"
@@ -79,7 +80,7 @@ int main(int argc, char** argv) {
     auto t0 = std::chrono::steady_clock::now();
     Workload workload = GenerateWorkload(catalog, config);
     report.AddMetric("workload_seconds_jobs" + std::to_string(jobs),
-                     Seconds(t0));
+                     SecondsSince(t0));
 
     // Chained per tenant, so fingerprinting a multi-GB activity set never
     // materializes one giant string.
@@ -178,7 +179,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     report.AddMetric("exact_seconds_jobs" + std::to_string(jobs),
-                     Seconds(t0));
+                     SecondsSince(t0));
 
     const uint64_t fp = GroupingFingerprint(*solution);
     exact_fps.push_back(fp);

@@ -5,6 +5,7 @@
 #include "common/fnv.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "common/stopwatch.h"
 #include "common/table_printer.h"
 #include "common/thread_pool.h"
 #include "mppdb/catalog.h"
@@ -19,7 +20,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <optional>
+#include <memory>
 #include <sstream>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -124,12 +125,6 @@ BenchFlag FingerprintPins::Flag(std::string help) {
                      }
                      return expected.size() == names.size();
                    }};
-}
-
-double Seconds(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
 }
 
 BenchOptions ParseBenchArgs(int argc, char** argv,
@@ -241,7 +236,7 @@ void BenchReport::SetResultsTable(const TablePrinter& table) {
   results_table_ = RenderTable(table);
 }
 
-double BenchReport::ElapsedSeconds() const { return Seconds(start_); }
+double BenchReport::ElapsedSeconds() const { return SecondsSince(start_); }
 
 void BenchReport::Gate(const std::string& metric, bool passed,
                        const std::string& label) {
@@ -399,10 +394,9 @@ std::vector<ActivityVector> EpochizeWorkload(const Workload& workload,
   epochs.begin = 0;
   epochs.end = workload.horizon_end;
   std::vector<ActivityVector> vectors(workload.tenants.size());
-  std::optional<ThreadPool> pool;
-  if (jobs > 1) pool.emplace(jobs);
+  std::unique_ptr<ThreadPool> pool = MakeThreadPool(jobs);
   // Per-index slot writes keep the output byte-identical for any `jobs`.
-  ParallelFor(pool ? &*pool : nullptr, workload.tenants.size(), [&](size_t i) {
+  ParallelFor(pool.get(), workload.tenants.size(), [&](size_t i) {
     vectors[i] = EpochizeIntervals(workload.tenants[i].id,
                                    workload.activity[i], epochs);
   });

@@ -109,9 +109,6 @@ struct FingerprintPins {
   std::vector<std::string> expected;
 };
 
-/// \brief Seconds elapsed on the steady clock since `since`.
-double Seconds(std::chrono::steady_clock::time_point since);
-
 /// \brief The shared flags a bench reads, declared to ParseBenchArgs as a
 /// bitwise OR. --out, --no-json and --help are always accepted.
 enum SharedFlags : unsigned {

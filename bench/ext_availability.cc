@@ -17,18 +17,20 @@
 
 #include <iostream>
 #include <stdexcept>
+#include <vector>
 
 #include "bench_util.h"
+#include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/stats.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "core/service.h"
 #include "mppdb/catalog.h"
 #include "mppdb/cluster.h"
 #include "mppdb/query_model.h"
 #include "placement/deployment_plan.h"
 #include "sim/engine.h"
-#include "sweep_runner.h"
 #include "workload/tenant.h"
 
 namespace thrifty {
@@ -127,15 +129,20 @@ int main(int argc, char** argv) {
   QueryCatalog catalog = QueryCatalog::Default();
 
   constexpr size_t kTrials = 8;
-  SweepRunner runner({options.jobs, options.seed});
-  auto trials = runner.Map<TrialResult>(kTrials, [&](TrialContext& context) {
+  // Trial t's jitter stream is Rng(seed).Fork(t): a function of the seed
+  // and the trial index only, never of the schedule or --jobs.
+  const Rng root(options.seed);
+  std::vector<TrialResult> trials(kTrials);
+  auto pool = MakeThreadPool(options.jobs);
+  ParallelFor(pool.get(), kTrials, [&](size_t t) {
     SimTime first = 2 * kHour;
     SimTime second = 4 * kHour;
-    if (context.trial_index > 0) {
-      first += context.rng.NextInt(-30, 30) * kMinute;
-      second += context.rng.NextInt(-30, 30) * kMinute;
+    if (t > 0) {
+      Rng rng = root.Fork(t);
+      first += rng.NextInt(-30, 30) * kMinute;
+      second += rng.NextInt(-30, 30) * kMinute;
     }
-    return RunScenario(catalog, first, second);
+    trials[t] = RunScenario(catalog, first, second);
   });
 
   PrintBanner("Extension: availability under node failures (§4.4)",

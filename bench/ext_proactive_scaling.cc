@@ -14,10 +14,12 @@
 
 #include <iostream>
 #include <stdexcept>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/sim_time.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "core/service.h"
 #include "mppdb/catalog.h"
 #include "mppdb/cluster.h"
@@ -25,7 +27,6 @@
 #include "placement/deployment_plan.h"
 #include "scaling/elastic_scaler.h"
 #include "sim/engine.h"
-#include "sweep_runner.h"
 #include "workload/tenant.h"
 
 namespace thrifty {
@@ -129,11 +130,10 @@ int main(int argc, char** argv) {
 
   const ScalingPolicy policies[] = {ScalingPolicy::kReactive,
                                     ScalingPolicy::kProactive};
-  SweepRunner runner({options.jobs, options.seed});
-  auto results = runner.Map<PolicyResult>(
-      std::size(policies), [&](TrialContext& context) {
-        return RunPolicy(policies[context.trial_index], catalog);
-      });
+  std::vector<PolicyResult> results(std::size(policies));
+  auto pool = MakeThreadPool(options.jobs);
+  ParallelFor(pool.get(), results.size(),
+              [&](size_t t) { results[t] = RunPolicy(policies[t], catalog); });
   const PolicyResult& reactive = results[0];
   const PolicyResult& proactive = results[1];
 

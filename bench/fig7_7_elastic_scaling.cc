@@ -29,6 +29,7 @@
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "core/deployment_advisor.h"
 #include "core/service.h"
 #include "mppdb/catalog.h"
@@ -37,7 +38,6 @@
 #include "placement/deployment_plan.h"
 #include "scaling/elastic_scaler.h"
 #include "sim/engine.h"
-#include "sweep_runner.h"
 #include "workload/log_generator.h"
 #include "workload/query_log.h"
 #include "workload/tenant.h"
@@ -188,10 +188,11 @@ int main(int argc, char** argv) {
           std::to_string(hog) + " is taken over at t=30h (continuous "
           "queries).");
 
-  SweepRunner runner({options.jobs, options.seed});
-  auto runs = runner.Map<RunResult>(2, [&](TrialContext& context) {
-    return RunOnce(/*scaling_enabled=*/context.trial_index == 1, plan,
-                   group_logs, hog, catalog, takeover, horizon);
+  std::vector<RunResult> runs(2);
+  auto pool = MakeThreadPool(options.jobs);
+  ParallelFor(pool.get(), runs.size(), [&](size_t t) {
+    runs[t] = RunOnce(/*scaling_enabled=*/t == 1, plan, group_logs, hog,
+                      catalog, takeover, horizon);
   });
   const RunResult& off = runs[0];
   const RunResult& on = runs[1];

@@ -109,19 +109,6 @@ void BM_FusedAndPopcount(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedAndPopcount)->Arg(8)->Arg(64)->Arg(1024);
 
-void BM_OrReduce(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  auto dst = RandomWords(n, 24);
-  auto src = RandomWords(n, 25);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simd::OrReduce(dst.data(), src.data(), n));
-  }
-  state.SetBytesProcessed(
-      static_cast<int64_t>(state.iterations() * n * 2 * 8));
-  state.SetLabel(simd::TargetName());
-}
-BENCHMARK(BM_OrReduce)->Arg(8)->Arg(64)->Arg(1024);
-
 void BM_ArgminCandidate(benchmark::State& state) {
   // One pruned candidate evaluation against an incumbent, the inner loop of
   // FindBestCandidate: plan build + top-down level kernels, allocation-free

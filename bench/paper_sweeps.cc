@@ -1,6 +1,6 @@
 // The Chapter 7 figure table and the one driver that runs any sweep in it;
 // EXPERIMENTS.md gives each figure's expected shape beside the measured
-// values. Points run as SweepRunner trials merged in point order, so the
+// values. Points run as ParallelFor trials merged in point order, so the
 // results table is byte-identical for any --jobs and --solver-jobs. The
 // scenarios use a 14-day horizon instead of the paper's 30 days, since the
 // weekly pattern repeats.
@@ -21,12 +21,12 @@
 #include "common/sim_time.h"
 #include "common/status.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "core/deployment_advisor.h"
 #include "mppdb/catalog.h"
 #include "placement/ffd.h"
 #include "placement/problem.h"
 #include "placement/two_step.h"
-#include "sweep_runner.h"
 #include "workload/query_log.h"
 
 namespace thrifty {
@@ -376,28 +376,27 @@ int RunPaperSweep(const FigureSpec& spec, int argc, char** argv) {
   const bool keep_cold_plan =
       options.warm_start && spec.warm_pass->seed_from_cold_plan;
   GroupingSolution cold_plan;
-  SweepRunner runner({options.jobs, options.seed});
-  auto trials = runner.Map<PointResult>(
-      points.size() * trials_per_point, [&](TrialContext& context) {
-        const size_t p = context.trial_index / trials_per_point;
-        const ExperimentConfig& config = points[p].config;
-        std::optional<Workload> own_workload;
-        const Workload& workload = workload_of(p, own_workload);
-        std::vector<ActivityVector> own_vectors;
-        const auto& vectors = vectors_of(p, workload, own_vectors);
-        PointResult result;
-        result.active_ratio = workload.average_active_ratio;
-        result.busy_ratio = ConditionalActiveTenantRatio(vectors);
-        for (size_t s = 0; s < std::size(solvers); ++s) {
-          if (trials_per_point > 1 && s != context.trial_index % 2) continue;
-          const bool keep = keep_cold_plan && p == 0 && s == 1;
-          (s == 0 ? result.ffd : result.two_step) = RunSolver(
-              solvers[s], workload, vectors, config.replication_factor,
-              config.sla_fraction, options.solver_jobs, nullptr,
-              keep ? &cold_plan : nullptr);
-        }
-        return result;
-      });
+  std::vector<PointResult> trials(points.size() * trials_per_point);
+  auto pool = MakeThreadPool(options.jobs);
+  ParallelFor(pool.get(), trials.size(), [&](size_t t) {
+    const size_t p = t / trials_per_point;
+    const ExperimentConfig& config = points[p].config;
+    std::optional<Workload> own_workload;
+    const Workload& workload = workload_of(p, own_workload);
+    std::vector<ActivityVector> own_vectors;
+    const auto& vectors = vectors_of(p, workload, own_vectors);
+    PointResult& result = trials[t];
+    result.active_ratio = workload.average_active_ratio;
+    result.busy_ratio = ConditionalActiveTenantRatio(vectors);
+    for (size_t s = 0; s < std::size(solvers); ++s) {
+      if (trials_per_point > 1 && s != t % 2) continue;
+      const bool keep = keep_cold_plan && p == 0 && s == 1;
+      (s == 0 ? result.ffd : result.two_step) = RunSolver(
+          solvers[s], workload, vectors, config.replication_factor,
+          config.sla_fraction, options.solver_jobs, nullptr,
+          keep ? &cold_plan : nullptr);
+    }
+  });
   std::vector<PointResult> results;
   for (size_t t = 0; t < trials.size(); t += trials_per_point) {
     results.push_back(trials[t]);

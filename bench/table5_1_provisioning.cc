@@ -10,15 +10,16 @@
 
 #include <iostream>
 #include <stdexcept>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/sim_time.h"
 #include "common/table_printer.h"
+#include "common/thread_pool.h"
 #include "mppdb/cluster.h"
 #include "mppdb/instance.h"
 #include "mppdb/provisioning.h"
 #include "sim/engine.h"
-#include "sweep_runner.h"
 
 int main(int argc, char** argv) {
   using namespace thrifty;
@@ -49,29 +50,21 @@ int main(int argc, char** argv) {
 
   // Trials 0..4 provision the five paper rows end-to-end through the async
   // path; trial 5 is the §5.1 example (10-node / 1 TB, ~14.5 hours).
-  SweepRunner runner({options.jobs, options.seed});
-  auto ready_times = runner.Map<SimTime>(
-      std::size(rows) + 1, [&](TrialContext& context) {
-        int nodes;
-        double data_gb;
-        if (context.trial_index < std::size(rows)) {
-          nodes = rows[context.trial_index].nodes;
-          data_gb = rows[context.trial_index].data_gb;
-        } else {
-          nodes = 10;
-          data_gb = 1000.0;
-        }
-        SimEngine engine;
-        Cluster cluster(nodes, &engine);
-        SimTime ready_at = -1;
-        auto result = cluster.CreateInstanceAsync(
-            nodes, {{0, data_gb}},
-            [&](MppdbInstance*) { ready_at = engine.now(); });
-        if (!result.ok()) throw std::runtime_error("CreateInstanceAsync failed");
-        engine.Run();
-        if (ready_at < 0) throw std::runtime_error("instance never became ready");
-        return ready_at;
-      });
+  std::vector<SimTime> ready_times(std::size(rows) + 1);
+  auto pool = MakeThreadPool(options.jobs);
+  ParallelFor(pool.get(), ready_times.size(), [&](size_t t) {
+    const int nodes = t < std::size(rows) ? rows[t].nodes : 10;
+    const double data_gb = t < std::size(rows) ? rows[t].data_gb : 1000.0;
+    SimEngine engine;
+    Cluster cluster(nodes, &engine);
+    SimTime ready_at = -1;
+    auto result = cluster.CreateInstanceAsync(
+        nodes, {{0, data_gb}}, [&](MppdbInstance*) { ready_at = engine.now(); });
+    if (!result.ok()) throw std::runtime_error("CreateInstanceAsync failed");
+    engine.Run();
+    if (ready_at < 0) throw std::runtime_error("instance never became ready");
+    ready_times[t] = ready_at;
+  });
 
   TablePrinter table({"tenant / data", "start+init (model)", "(paper)",
                       "bulk load (model)", "(paper)", "e2e async"});

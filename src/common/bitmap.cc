@@ -1,7 +1,6 @@
 #include "common/bitmap.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "common/simd.h"
 
@@ -9,10 +8,6 @@ namespace thrifty {
 
 size_t PopcountWords(const uint64_t* words, size_t count) {
   return simd::SpanPopcount(words, count);
-}
-
-size_t AndPopcountWords(const uint64_t* a, const uint64_t* b, size_t count) {
-  return simd::AndPopcount(a, b, count);
 }
 
 void DynamicBitmap::SetRange(size_t begin, size_t end) {
@@ -33,35 +28,6 @@ void DynamicBitmap::SetRange(size_t begin, size_t end) {
 
 size_t DynamicBitmap::Popcount() const {
   return PopcountWords(words_.data(), words_.size());
-}
-
-size_t DynamicBitmap::AndPopcount(const DynamicBitmap& other) const {
-  assert(num_bits_ == other.num_bits_);
-  return AndPopcountWords(words_.data(), other.words_.data(), words_.size());
-}
-
-bool DynamicBitmap::OrWith(const DynamicBitmap& other) {
-  if (other.num_bits_ > num_bits_) {
-    num_bits_ = other.num_bits_;
-    words_.resize(other.words_.size(), 0);
-  }
-  return simd::OrReduce(words_.data(), other.words_.data(),
-                        other.words_.size()) != 0;
-}
-
-bool DynamicBitmap::None() const {
-  for (uint64_t w : words_) {
-    if (w != 0) return false;
-  }
-  return true;
-}
-
-std::vector<uint32_t> DynamicBitmap::NonzeroWordIndices() const {
-  std::vector<uint32_t> out;
-  for (size_t w = 0; w < words_.size(); ++w) {
-    if (words_[w] != 0) out.push_back(static_cast<uint32_t>(w));
-  }
-  return out;
 }
 
 }  // namespace thrifty

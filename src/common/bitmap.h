@@ -18,9 +18,6 @@ namespace thrifty {
 /// \brief Number of set bits in `count` words.
 size_t PopcountWords(const uint64_t* words, size_t count);
 
-/// \brief Number of set bits of a & b over two parallel `count`-word spans.
-size_t AndPopcountWords(const uint64_t* a, const uint64_t* b, size_t count);
-
 /// \brief Fixed-size packed bitmap (one bit per epoch index).
 class DynamicBitmap {
  public:
@@ -44,23 +41,6 @@ class DynamicBitmap {
 
   /// \brief Number of set bits.
   size_t Popcount() const;
-
-  /// \brief Number of set bits in common with `other` (same size required).
-  size_t AndPopcount(const DynamicBitmap& other) const;
-
-  /// \brief ORs `other` into this bitmap. Mismatched sizes grow this bitmap
-  /// to the larger of the two (a shorter `other` ORs into the prefix; a
-  /// longer one extends this bitmap with zero bits first, so no set bit is
-  /// ever truncated). Returns true iff any bit is set afterwards — the
-  /// OR-reduction comes for free from the word scan, saving callers a
-  /// separate None() pass.
-  bool OrWith(const DynamicBitmap& other);
-
-  /// \brief True if no bit is set.
-  bool None() const;
-
-  /// \brief Indices of words that contain at least one set bit, ascending.
-  std::vector<uint32_t> NonzeroWordIndices() const;
 
   uint64_t word(size_t w) const { return words_[w]; }
   uint64_t& mutable_word(size_t w) { return words_[w]; }

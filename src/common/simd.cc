@@ -36,15 +36,6 @@ size_t ScalarAndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
   return total;
 }
 
-uint64_t ScalarOrReduce(uint64_t* dst, const uint64_t* src, size_t n) {
-  uint64_t any = 0;
-  for (size_t i = 0; i < n; ++i) {
-    dst[i] |= src[i];
-    any |= dst[i];
-  }
-  return any;
-}
-
 size_t ScalarOrPopcountDelta(const uint64_t* old_w, const uint64_t* cand,
                              size_t n) {
   size_t total = 0;
@@ -146,28 +137,6 @@ THRIFTY_AVX2 static size_t Avx2AndPopcount(const uint64_t* a,
   size_t total = HSum(acc);
   for (; i < n; ++i) total += std::popcount(a[i] & b[i]);
   return total;
-}
-
-THRIFTY_AVX2 static uint64_t Avx2OrReduce(uint64_t* dst, const uint64_t* src,
-                                          size_t n) {
-  __m256i any = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m256i vd = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + i));
-    __m256i vs = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
-    __m256i vo = _mm256_or_si256(vd, vs);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), vo);
-    any = _mm256_or_si256(any, vo);
-  }
-  __m128i s = _mm_or_si128(_mm256_castsi256_si128(any),
-                           _mm256_extracti128_si256(any, 1));
-  uint64_t out = static_cast<uint64_t>(_mm_extract_epi64(s, 0)) |
-                 static_cast<uint64_t>(_mm_extract_epi64(s, 1));
-  for (; i < n; ++i) {
-    dst[i] |= src[i];
-    out |= dst[i];
-  }
-  return out;
 }
 
 THRIFTY_AVX2 static size_t Avx2OrPopcountDelta(const uint64_t* old_w,
@@ -307,22 +276,6 @@ static size_t NeonAndPopcount(const uint64_t* a, const uint64_t* b,
   return total;
 }
 
-static uint64_t NeonOrReduce(uint64_t* dst, const uint64_t* src, size_t n) {
-  uint64x2_t any = vdupq_n_u64(0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    uint64x2_t v = vorrq_u64(vld1q_u64(dst + i), vld1q_u64(src + i));
-    vst1q_u64(dst + i, v);
-    any = vorrq_u64(any, v);
-  }
-  uint64_t out = vgetq_lane_u64(any, 0) | vgetq_lane_u64(any, 1);
-  for (; i < n; ++i) {
-    dst[i] |= src[i];
-    out |= dst[i];
-  }
-  return out;
-}
-
 static size_t NeonOrPopcountDelta(const uint64_t* old_w, const uint64_t* cand,
                                   size_t n) {
   uint64_t total = 0;
@@ -408,24 +361,21 @@ static_assert(sizeof(size_t) == sizeof(uint64_t),
 namespace {
 
 constexpr Kernels kScalarKernels = {
-    &ScalarSpanPopcount,       &ScalarAndPopcount,
-    &ScalarOrReduce,           &ScalarOrPopcountDelta,
-    &ScalarOrAndPopcountDelta, &ScalarOrAndBcastStoreDelta,
-    &ScalarAndNotBcastStoreDelta};
+    &ScalarSpanPopcount,         &ScalarAndPopcount,
+    &ScalarOrPopcountDelta,      &ScalarOrAndPopcountDelta,
+    &ScalarOrAndBcastStoreDelta, &ScalarAndNotBcastStoreDelta};
 
 #if defined(THRIFTY_SIMD_X86)
 constexpr Kernels kAvx2Kernels = {
-    &Avx2SpanPopcount,       &Avx2AndPopcount,
-    &Avx2OrReduce,           &Avx2OrPopcountDelta,
-    &Avx2OrAndPopcountDelta, &Avx2OrAndBcastStoreDelta,
-    &Avx2AndNotBcastStoreDelta};
+    &Avx2SpanPopcount,         &Avx2AndPopcount,
+    &Avx2OrPopcountDelta,      &Avx2OrAndPopcountDelta,
+    &Avx2OrAndBcastStoreDelta, &Avx2AndNotBcastStoreDelta};
 #endif
 #if defined(THRIFTY_SIMD_NEON)
 constexpr Kernels kNeonKernels = {
-    &NeonSpanPopcount,       &NeonAndPopcount,
-    &NeonOrReduce,           &NeonOrPopcountDelta,
-    &NeonOrAndPopcountDelta, &NeonOrAndBcastStoreDelta,
-    &NeonAndNotBcastStoreDelta};
+    &NeonSpanPopcount,         &NeonAndPopcount,
+    &NeonOrPopcountDelta,      &NeonOrAndPopcountDelta,
+    &NeonOrAndBcastStoreDelta, &NeonAndNotBcastStoreDelta};
 #endif
 
 const Kernels* KernelsFor(Target target) {

@@ -3,14 +3,12 @@
 // Every solve-bound inner loop in this codebase has the same shape: a scan
 // over spans of 64-bit activity words combining bitwise algebra with
 // popcounts (the Fig 5.3 candidate argmin, DynamicBitmap span popcounts,
-// activity OR-reductions). This header exposes those scans as a small set
+// the level-column rebuilds). This header exposes those scans as a small set
 // of kernel primitives with three implementations — AVX2, NEON, and a
 // scalar reference — selected once at startup by runtime CPU detection:
 //
 //   * SpanPopcount        — popcount over a word span.
 //   * AndPopcount         — fused AND + popcount over two parallel spans.
-//   * OrReduce            — dst |= src with nonzero-word detection (returns
-//                           the OR of all result words).
 //   * OrPopcountDelta     — Σ pop(old|cand) − Σ pop(old): the level-1 body
 //                           of the candidate argmin.
 //   * OrAndPopcountDelta  — Σ pop(old|(below&cand)) − Σ pop(old): the
@@ -75,7 +73,6 @@ Target SetSimdTargetForTest(Target target);
 
 size_t ScalarSpanPopcount(const uint64_t* w, size_t n);
 size_t ScalarAndPopcount(const uint64_t* a, const uint64_t* b, size_t n);
-uint64_t ScalarOrReduce(uint64_t* dst, const uint64_t* src, size_t n);
 size_t ScalarOrPopcountDelta(const uint64_t* old_w, const uint64_t* cand,
                              size_t n);
 size_t ScalarOrAndPopcountDelta(const uint64_t* old_w, const uint64_t* below,
@@ -92,7 +89,6 @@ void ScalarAndNotBcastStoreDelta(const uint64_t* old_w, const uint64_t* above,
 struct Kernels {
   size_t (*span_popcount)(const uint64_t*, size_t);
   size_t (*and_popcount)(const uint64_t*, const uint64_t*, size_t);
-  uint64_t (*or_reduce)(uint64_t*, const uint64_t*, size_t);
   size_t (*or_popcount_delta)(const uint64_t*, const uint64_t*, size_t);
   size_t (*or_and_popcount_delta)(const uint64_t*, const uint64_t*,
                                   const uint64_t*, size_t);
@@ -128,20 +124,6 @@ inline size_t AndPopcount(const uint64_t* a, const uint64_t* b, size_t n) {
     return total;
   }
   return ActiveKernels().and_popcount(a, b, n);
-}
-
-/// \brief dst[i] |= src[i] over `n` words; returns the OR of all result
-/// words (nonzero ⇔ at least one set bit anywhere in dst afterwards).
-inline uint64_t OrReduce(uint64_t* dst, const uint64_t* src, size_t n) {
-  if (n < kInlineSpanWords) {
-    uint64_t any = 0;
-    for (size_t i = 0; i < n; ++i) {
-      dst[i] |= src[i];
-      any |= dst[i];
-    }
-    return any;
-  }
-  return ActiveKernels().or_reduce(dst, src, n);
 }
 
 /// \brief Σ pop(old|cand) − Σ pop(old) over `n` parallel words: how many

@@ -25,20 +25,17 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> wrapped(std::move(task));
-  std::future<void> result = wrapped.get_future();
+void ThreadPool::Submit(std::function<void()> task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_.push_back(std::move(wrapped));
+    tasks_.push_back(std::move(task));
   }
   cv_.notify_one();
-  return result;
 }
 
 void ThreadPool::WorkerLoop() {
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
@@ -46,8 +43,13 @@ void ThreadPool::WorkerLoop() {
       task = std::move(tasks_.front());
       tasks_.pop_front();
     }
-    task();  // exceptions land in the task's future, not the worker
+    task();
   }
+}
+
+std::unique_ptr<ThreadPool> MakeThreadPool(int jobs) {
+  if (jobs <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(jobs - 1);
 }
 
 namespace {

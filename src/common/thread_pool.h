@@ -1,4 +1,4 @@
-// Fixed-size worker pool for CPU-parallel experiment execution.
+// Fixed-size worker pool and the one parallel loop that runs on it.
 
 #ifndef THRIFTY_COMMON_THREAD_POOL_H_
 #define THRIFTY_COMMON_THREAD_POOL_H_
@@ -7,7 +7,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -16,10 +16,9 @@ namespace thrifty {
 
 /// \brief Fixed-size pool of worker threads draining a FIFO task queue.
 ///
-/// Submit returns a future that resolves when the task finishes; if the
-/// task throws, the exception is captured and rethrown from future::get(),
-/// so a failing task never takes down a worker thread. Destruction drains
-/// every already-submitted task, then joins all workers.
+/// Work reaches the pool only through ParallelFor, whose tasks catch their
+/// own exceptions. Destruction drains every already-submitted task, then
+/// joins all workers.
 class ThreadPool {
  public:
   /// \param num_threads worker count; values below 1 are clamped to 1.
@@ -29,24 +28,30 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// \brief Enqueues `task` for execution on some worker.
-  ///
-  /// The returned future carries the task's exception, if any. Submitting
-  /// from inside a task is allowed; submitting during destruction is not.
-  std::future<void> Submit(std::function<void()> task);
-
   /// \brief Number of worker threads.
   size_t size() const { return workers_.size(); }
 
  private:
+  friend void ParallelFor(ThreadPool* pool, size_t n,
+                          const std::function<void(size_t)>& fn);
+
+  /// \brief Enqueues `task` for execution on some worker; `task` must not
+  /// throw. Submitting from inside a task is allowed; submitting during
+  /// destruction is not.
+  void Submit(std::function<void()> task);
   void WorkerLoop();
 
   std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::packaged_task<void()>> tasks_;
+  std::deque<std::function<void()>> tasks_;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
+
+/// \brief The pool for a ParallelFor `jobs` threads wide: null (run inline)
+/// when jobs <= 1, else jobs - 1 workers, since the calling thread drains
+/// too.
+std::unique_ptr<ThreadPool> MakeThreadPool(int jobs);
 
 /// \brief Runs `fn(i)` for every i in [0, n), on the pool's workers plus
 /// the calling thread.

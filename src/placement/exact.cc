@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "activity/level_set.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace thrifty {
@@ -273,10 +274,8 @@ Result<GroupingSolution> SolveExact(const PackingProblem& problem,
   if (frontier_exhausted) shared.exhausted.store(true);
 
   if (!shared.exhausted.load()) {
-    std::unique_ptr<ThreadPool> pool;
-    if (jobs > 1 && frontier.size() > 1) {
-      pool = std::make_unique<ThreadPool>(jobs - 1);
-    }
+    std::unique_ptr<ThreadPool> pool =
+        MakeThreadPool(frontier.size() > 1 ? jobs : 1);
     ParallelFor(pool.get(), frontier.size(), [&](size_t s) {
       SubtreeSearch search(problem, order, options.max_search_nodes, s,
                            &shared);
@@ -296,9 +295,7 @@ Result<GroupingSolution> SolveExact(const PackingProblem& problem,
     std::lock_guard<std::mutex> lock(shared.mu);
     solution.groups = std::move(shared.slots[shared.holder]);
   }
-  solution.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  solution.solve_seconds = SecondsSince(start);
   return solution;
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "activity/level_set.h"
+#include "common/stopwatch.h"
 
 namespace thrifty {
 
@@ -82,9 +83,7 @@ Result<GroupingSolution> SolveFfd(const PackingProblem& problem,
     bin.group.level_set_dense_bytes = bin.levels->DenseEquivalentBytes();
     solution.groups.push_back(std::move(bin.group));
   }
-  solution.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  solution.solve_seconds = SecondsSince(start);
   return solution;
 }
 

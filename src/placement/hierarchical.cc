@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/simd.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "placement/two_step.h"
 
@@ -24,12 +25,6 @@ constexpr size_t kSignatureBands = 32;
 // absorbers, so pooled boundary tenants can join groups with spare fuzzy
 // capacity (each absorber is consumed by exactly one chunk).
 constexpr size_t kMergeAbsorbersPerChunk = 4;
-
-double SecondsSince(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       since)
-      .count();
-}
 
 }  // namespace
 
@@ -347,11 +342,7 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
   // land in per-task slots and are concatenated in listed order, so each
   // shard's groups -- and the plan -- never see the schedule.
   const auto solve_start = std::chrono::steady_clock::now();
-  const int shard_jobs = std::max(1, options.shard_jobs);
-  std::unique_ptr<ThreadPool> pool;
-  if (shard_jobs > 1) {
-    pool = std::make_unique<ThreadPool>(shard_jobs - 1);
-  }
+  std::unique_ptr<ThreadPool> pool = MakeThreadPool(options.shard_jobs);
   std::vector<ClassTask> tasks;
   for (size_t s = 0; s < num_shards; ++s) {
     std::map<int, std::vector<size_t>, std::greater<int>> by_class;

@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "activity/level_set.h"
+#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 
 namespace thrifty {
@@ -400,13 +401,9 @@ Result<GroupingSolution> SolveTwoStep(const PackingProblem& problem,
     if (it != seeds_by_size.end()) seeds[g] = &it->second;
   }
 
-  // Documented clamp: solver_jobs < 1 is the serial path, same as 1, so
-  // callers deriving job counts never need their own validation.
-  std::unique_ptr<ThreadPool> pool;
-  const int solver_jobs = std::max(1, options.solver_jobs);
-  if (solver_jobs > 1) {
-    pool = std::make_unique<ThreadPool>(solver_jobs - 1);
-  }
+  // Documented clamp: solver_jobs < 1 is the serial path, same as 1 (a null
+  // pool), so callers deriving job counts never need their own validation.
+  std::unique_ptr<ThreadPool> pool = MakeThreadPool(options.solver_jobs);
 
   // Node-size initial groups are independent: solve them as parallel tasks
   // (each of which also shards its candidate argmin over the same pool) and
@@ -428,9 +425,7 @@ Result<GroupingSolution> SolveTwoStep(const PackingProblem& problem,
       solution.groups.push_back(std::move(group));
     }
   }
-  solution.solve_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+  solution.solve_seconds = SecondsSince(start);
   return solution;
 }
 

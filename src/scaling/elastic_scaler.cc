@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "activity/streamed_epochizer.h"
+#include "common/stopwatch.h"
 #include "scaling/overactive.h"
 
 namespace thrifty {
@@ -99,10 +100,7 @@ void ElasticScaler::CheckGroup(GroupId group_id, WatchedGroup* group,
     if (!most_active.ok()) return;
     victims.push_back(*most_active);
   }
-  double identification_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
+  double identification_seconds = SecondsSince(wall_start);
 
   // Size the new MPPDB for the largest victim and load only victim data.
   int nodes = 0;

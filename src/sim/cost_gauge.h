@@ -21,7 +21,7 @@ namespace thrifty {
 /// prove that, so touches are counted as actual record reads/moves, not
 /// asymptotic claims.
 ///
-/// Thread-safe (relaxed atomics): SweepRunner trials each use their own
+/// Thread-safe (relaxed atomics): parallel bench trials each use their own
 /// engine + gauge, but nothing breaks if one gauge is shared.
 class SimCostGauge {
  public:

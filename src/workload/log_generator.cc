@@ -208,13 +208,6 @@ void AppendSessionActivity(const IntervalSet& session_activity,
   }
 }
 
-/// The composition pool, or null for the sequential path.
-std::unique_ptr<ThreadPool> MakeComposerPool(const LogComposerOptions& options,
-                                             size_t num_tenants) {
-  if (options.jobs <= 1 || num_tenants <= 1) return nullptr;
-  return std::make_unique<ThreadPool>(options.jobs - 1);
-}
-
 }  // namespace
 
 Result<std::vector<TenantLog>> LogComposer::Compose(
@@ -229,8 +222,7 @@ Result<std::vector<TenantLog>> LogComposer::Compose(
     log.tenant_id = spec.id;
     logs.push_back(std::move(log));
   }
-  std::unique_ptr<ThreadPool> pool =
-      MakeComposerPool(options_, tenants->size());
+  std::unique_ptr<ThreadPool> pool = MakeThreadPool(options_.jobs);
   THRIFTY_RETURN_NOT_OK(ForEachSession(
       *library_, options_, tenants, rng, pool.get(),
       [&](const TenantSpec& spec, SimTime session_start,
@@ -253,8 +245,7 @@ Result<std::vector<TenantLog>> LogComposer::Compose(
 Result<std::vector<IntervalSet>> LogComposer::ComposeActivity(
     std::vector<TenantSpec>* tenants, Rng* rng) const {
   const SimTime horizon = horizon_end();
-  std::unique_ptr<ThreadPool> pool =
-      MakeComposerPool(options_, tenants->size());
+  std::unique_ptr<ThreadPool> pool = MakeThreadPool(options_.jobs);
   const SessionActivityCache cache =
       BuildSessionActivityCache(*library_, pool.get());
 
@@ -283,8 +274,7 @@ Result<std::vector<ActivityVector>> LogComposer::ComposeActivityVectors(
         "epoch grid must cover the composition horizon");
   }
   const SimTime horizon = horizon_end();
-  std::unique_ptr<ThreadPool> pool =
-      MakeComposerPool(options_, tenants->size());
+  std::unique_ptr<ThreadPool> pool = MakeThreadPool(options_.jobs);
   const SessionActivityCache cache =
       BuildSessionActivityCache(*library_, pool.get());
 

@@ -13,7 +13,6 @@ TEST(BitmapTest, StartsAllZero) {
   DynamicBitmap b(100);
   EXPECT_EQ(b.num_bits(), 100u);
   EXPECT_EQ(b.num_words(), 2u);
-  EXPECT_TRUE(b.None());
   EXPECT_EQ(b.Popcount(), 0u);
 }
 
@@ -64,79 +63,7 @@ TEST(BitmapTest, SetRangeEmptyIsNoop) {
   DynamicBitmap b(64);
   b.SetRange(10, 10);
   b.SetRange(20, 5);
-  EXPECT_TRUE(b.None());
-}
-
-TEST(BitmapTest, AndPopcount) {
-  DynamicBitmap a(128), b(128);
-  a.SetRange(0, 64);
-  b.SetRange(32, 96);
-  EXPECT_EQ(a.AndPopcount(b), 32u);
-  EXPECT_EQ(b.AndPopcount(a), 32u);
-}
-
-TEST(BitmapTest, OrWith) {
-  DynamicBitmap a(128), b(128);
-  a.SetRange(0, 10);
-  b.SetRange(5, 20);
-  EXPECT_TRUE(a.OrWith(b));
-  EXPECT_EQ(a.Popcount(), 20u);
-}
-
-TEST(BitmapTest, OrWithReturnsWhetherAnyBitIsSet) {
-  DynamicBitmap a(128), b(128);
-  EXPECT_FALSE(a.OrWith(b));  // both empty
-  b.Set(100);
-  EXPECT_TRUE(a.OrWith(b));
-  DynamicBitmap c(128);
-  // `a` already has bits even though `c` is empty.
-  EXPECT_TRUE(a.OrWith(c));
-}
-
-TEST(BitmapTest, OrWithGrowsToLargerOperand) {
-  DynamicBitmap a(64), b(200);
-  a.Set(3);
-  b.Set(199);
-  EXPECT_TRUE(a.OrWith(b));
-  EXPECT_EQ(a.num_bits(), 200u);
-  EXPECT_TRUE(a.Get(3));
-  EXPECT_TRUE(a.Get(199));
-  EXPECT_EQ(a.Popcount(), 2u);
-}
-
-TEST(BitmapTest, OrWithShorterOperandOrsIntoPrefix) {
-  DynamicBitmap a(200), b(64);
-  a.Set(199);
-  b.Set(3);
-  EXPECT_TRUE(a.OrWith(b));
-  EXPECT_EQ(a.num_bits(), 200u);  // unchanged: this side is the larger one
-  EXPECT_TRUE(a.Get(3));
-  EXPECT_TRUE(a.Get(199));
-}
-
-TEST(BitmapTest, OrWithGrowExtendsWithZeroBits) {
-  DynamicBitmap a(10);
-  a.SetRange(0, 10);
-  DynamicBitmap b(500);  // empty, just longer
-  EXPECT_TRUE(a.OrWith(b));
-  EXPECT_EQ(a.num_bits(), 500u);
-  EXPECT_EQ(a.Popcount(), 10u);
-  for (size_t i = 10; i < 500; ++i) EXPECT_FALSE(a.Get(i));
-}
-
-TEST(BitmapTest, OrWithEmptyBothSidesStaysEmpty) {
-  DynamicBitmap a, b;
-  EXPECT_FALSE(a.OrWith(b));
-  EXPECT_EQ(a.num_bits(), 0u);
-}
-
-TEST(BitmapTest, NonzeroWordIndices) {
-  DynamicBitmap b(256);
-  b.Set(0);
-  b.Set(130);
-  b.Set(255);
-  std::vector<uint32_t> expected = {0, 2, 3};
-  EXPECT_EQ(b.NonzeroWordIndices(), expected);
+  EXPECT_EQ(b.Popcount(), 0u);
 }
 
 class BitmapRangeSweep
@@ -191,22 +118,15 @@ TEST(BitmapTest, RandomizedAgainstReference) {
 
 TEST(BitmapTest, WordSpanPopcounts) {
   const std::vector<uint64_t> a = {0xff, 0, ~uint64_t{0}, 1};
-  const std::vector<uint64_t> b = {0x0f, 7, ~uint64_t{0}, 2};
   EXPECT_EQ(PopcountWords(a.data(), a.size()), 8u + 0 + 64 + 1);
   EXPECT_EQ(PopcountWords(a.data(), 0), 0u);
-  EXPECT_EQ(AndPopcountWords(a.data(), b.data(), a.size()), 4u + 0 + 64 + 0);
 }
 
 TEST(BitmapTest, WordSpanPopcountsMatchBitmapOps) {
   Rng rng(1234);
-  DynamicBitmap a(777), b(777);
-  for (int i = 0; i < 300; ++i) {
-    a.Set(rng.NextBounded(777));
-    b.Set(rng.NextBounded(777));
-  }
+  DynamicBitmap a(777);
+  for (int i = 0; i < 300; ++i) a.Set(rng.NextBounded(777));
   EXPECT_EQ(PopcountWords(a.data(), a.num_words()), a.Popcount());
-  EXPECT_EQ(AndPopcountWords(a.data(), b.data(), a.num_words()),
-            a.AndPopcount(b));
 }
 
 }  // namespace

@@ -36,7 +36,10 @@ QueryTemplate MakeTemplate(TemplateId id, double work_seconds_per_gb,
                            double serial = 0.0) {
   QueryTemplate t;
   t.id = id;
-  t.name = "q" + std::to_string(id);
+  // Appended piece by piece: `"q" + std::to_string(id)` draws a GCC
+  // -Wrestrict false positive from the inlined string concatenation.
+  t.name += 'q';
+  t.name += std::to_string(id);
   t.work_seconds_per_gb = work_seconds_per_gb;
   t.serial_fraction = serial;
   return t;

@@ -130,23 +130,6 @@ TEST_F(SimdKernelTest, AndPopcountMatchesScalar) {
   }
 }
 
-TEST_F(SimdKernelTest, OrReduceMatchesScalar) {
-  if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
-  simd::SetSimdTargetForTest(vector_target_);
-  for (int id = 0; id < kRandomCases; ++id) {
-    KernelCase kc = MakeCase(3000 + id);
-    std::vector<uint64_t> dst_vec = kc.a;
-    std::vector<uint64_t> ref_vec = kc.a;
-    uint64_t* dst = dst_vec.data() + kc.offset;
-    uint64_t* ref = ref_vec.data() + kc.offset;
-    const uint64_t* src = kc.b.data() + kc.offset;
-    uint64_t got = simd::ActiveKernels().or_reduce(dst, src, kc.n);
-    uint64_t want = simd::ScalarOrReduce(ref, src, kc.n);
-    EXPECT_EQ(got, want) << "case_id=" << 3000 + id;
-    EXPECT_EQ(dst_vec, ref_vec) << "case_id=" << 3000 + id;
-  }
-}
-
 TEST_F(SimdKernelTest, OrPopcountDeltaMatchesScalar) {
   if (!has_vector_) GTEST_SKIP() << "no vector target on this CPU";
   simd::SetSimdTargetForTest(vector_target_);
@@ -221,7 +204,6 @@ TEST(SimdKernelDirectedTest, ZeroLengthSpans) {
   std::vector<uint64_t> w = {~uint64_t{0}};
   EXPECT_EQ(simd::SpanPopcount(w.data(), 0), 0u);
   EXPECT_EQ(simd::AndPopcount(w.data(), w.data(), 0), 0u);
-  EXPECT_EQ(simd::OrReduce(w.data(), w.data(), 0), 0u);
   EXPECT_EQ(simd::OrPopcountDelta(w.data(), w.data(), 0), 0u);
   EXPECT_EQ(simd::OrAndPopcountDelta(w.data(), w.data(), w.data(), 0), 0u);
   simd::OrAndBcastStoreDelta(w.data(), w.data(), 0, w.data(), nullptr, 0);
@@ -237,9 +219,6 @@ TEST(SimdKernelDirectedTest, SingleWord) {
             static_cast<size_t>(std::popcount(a & c)));
   EXPECT_EQ(simd::OrPopcountDelta(&a, &c, 1),
             static_cast<size_t>(std::popcount(c & ~a)));
-  uint64_t dst = a;
-  EXPECT_EQ(simd::OrReduce(&dst, &c, 1), a | c);
-  EXPECT_EQ(dst, a | c);
 }
 
 TEST(SimdKernelDirectedTest, AllOnesSpans) {

@@ -8,6 +8,7 @@
 
 #include "common/fnv.h"
 #include "common/rng.h"
+#include "common/stopwatch.h"
 #include "core/deployment_master.h"
 #include "mppdb/catalog.h"
 #include "mppdb/cluster.h"
@@ -65,12 +66,6 @@ GroupId PickFailureGroup(const DeploymentPlan& plan) {
     }
   }
   return chosen;
-}
-
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
 }
 
 /// The harness invariant: `plan` places every tenant of `specs` (id order)

@@ -1,9 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
-#include <future>
-#include <set>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -17,61 +15,66 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([&counter] { ++counter; }));
-  }
-  for (auto& future : futures) future.get();
+  ParallelFor(&pool, 100, [&counter](size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 100);
 }
 
 TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-  auto future = pool.Submit([] {});
-  future.get();
-}
-
-TEST(ThreadPoolTest, PropagatesTaskExceptionsThroughFutures) {
-  ThreadPool pool(2);
-  auto ok = pool.Submit([] {});
-  auto bad = pool.Submit([] { throw std::runtime_error("trial failed"); });
-  auto after = pool.Submit([] {});
-  ok.get();
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  after.get();  // the worker survived the throwing task
-  std::atomic<bool> ran{false};
-  pool.Submit([&ran] { ran = true; }).get();
-  EXPECT_TRUE(ran.load());
+  std::atomic<int> counter{0};
+  ParallelFor(&pool, 2, [&counter](size_t) { ++counter; });
+  EXPECT_EQ(counter.load(), 2);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
+  // A ParallelFor helper can still be queued when the call returns (the
+  // caller drained every index first). Each helper holds the loop's shared
+  // state, which owns a copy of `fn` and so of `token`; once the pool is
+  // destroyed no helper may be left holding it.
+  auto token = std::make_shared<int>(0);
   std::atomic<int> counter{0};
   {
     ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ++counter;
-      });
+    for (int call = 0; call < 50; ++call) {
+      ParallelFor(&pool, 3, [token, &counter](size_t) { ++counter; });
     }
-  }  // destructor must finish all 50 before joining
-  EXPECT_EQ(counter.load(), 50);
+  }
+  EXPECT_EQ(counter.load(), 150);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(ThreadPoolTest, TasksRunOffTheCallingThread) {
+  // The caller claims at most one of the two indices and then waits inside
+  // it until the other has run, which only a worker can do.
   ThreadPool pool(2);
-  std::thread::id caller = std::this_thread::get_id();
-  std::thread::id worker;
-  pool.Submit([&worker] { worker = std::this_thread::get_id(); }).get();
-  EXPECT_NE(worker, caller);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_ran{false};
+  ParallelFor(&pool, 2, [&](size_t) {
+    if (std::this_thread::get_id() != caller) {
+      worker_ran = true;
+      return;
+    }
+    while (!worker_ran.load()) std::this_thread::yield();
+  });
+  EXPECT_TRUE(worker_ran.load());
 }
 
 TEST(ParallelForTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  ParallelFor(&pool, hits.size(), [&](size_t i) { ++hits[i]; });
-  for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
+  // MakeThreadPool(jobs) is null up to 1 job and otherwise leaves one of
+  // the jobs to the calling thread.
+  for (int jobs : {0, 1, 2, 4}) {
+    std::unique_ptr<ThreadPool> pool = MakeThreadPool(jobs);
+    if (jobs <= 1) {
+      EXPECT_EQ(pool, nullptr) << "jobs=" << jobs;
+    } else {
+      ASSERT_NE(pool, nullptr) << "jobs=" << jobs;
+      EXPECT_EQ(pool->size(), static_cast<size_t>(jobs - 1));
+    }
+    std::vector<std::atomic<int>> hits(1000);
+    ParallelFor(pool.get(), hits.size(), [&](size_t i) { ++hits[i]; });
+    for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1) << "jobs=" << jobs;
+  }
 }
 
 TEST(ParallelForTest, NullPoolRunsInlineInOrder) {
