@@ -231,6 +231,10 @@ int main(int argc, char** argv) {
                      static_cast<double>(stats.merge_chunks));
     report.AddMetric("hier_max_merge_chunk_tenants" + suffix,
                      static_cast<double>(stats.max_merge_chunk_tenants));
+    report.AddMetric("hier_argmin_candidates" + suffix,
+                     static_cast<double>(stats.argmin_candidates));
+    report.AddMetric("hier_argmin_bound_skips" + suffix,
+                     static_cast<double>(stats.argmin_bound_skips));
     report.AddMetric("peak_rss_after_bytes" + suffix,
                      static_cast<double>(PeakRssBytes()));
     std::cout << "n=" << num_tenants << " hierarchical: "
@@ -246,6 +250,15 @@ int main(int argc, char** argv) {
               << " tenants), " << stats.merge_chunks
               << " merge chunks (largest " << stats.max_merge_chunk_tenants
               << " tenants)\n";
+    const double skip_share =
+        stats.argmin_candidates == 0
+            ? 0.0
+            : static_cast<double>(stats.argmin_bound_skips) /
+                  static_cast<double>(stats.argmin_candidates);
+    std::cout << "n=" << num_tenants << " argmin: "
+              << stats.argmin_candidates << " candidates scanned, "
+              << stats.argmin_bound_skips << " skipped by carried bounds ("
+              << FormatPercent(skip_share, 1) << ")\n";
 
     // --- The same solve with four shards in flight ---------------------
     HierarchicalOptions fanned = hier_options;

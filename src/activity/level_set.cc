@@ -515,11 +515,13 @@ int GroupLevelSet::EvalCore(const ActivityVector& v,
       if (exact < inc_exact) {
         winner = -1;  // already won; keep filling pops for the caller
       } else if (exact > inc_exact) {
+        scratch->lowest_filled = m;
         return 1;  // prune: lower levels can no longer matter
       }
     }
     above = at_least;
   }
+  scratch->lowest_filled = floor + 1;
   // Drop an empty would-be top level so MaxActive stays meaningful.
   if (scratch->pops.back() == 0) scratch->pops.pop_back();
   return winner;

@@ -139,6 +139,13 @@ class GroupLevelSet {
   struct EvalScratch {
     /// Would-be level popcounts, in the EvaluateAdd layout.
     std::vector<size_t> pops;
+    /// Lowest level the last evaluation computed: the `pops` entries of
+    /// levels >= lowest_filled are exact, those below it are unset. 1 after
+    /// a complete evaluation; a compare abandoned at level m leaves m.
+    /// Every evaluation computes level MaxActive()+1, so a caller can always
+    /// read the would-be top count, and the level below it exactly when
+    /// lowest_filled <= MaxActive(). A zero entry never means "unset".
+    size_t lowest_filled = 1;
     /// Backing store for the evaluation plans, reset per plan.
     EvalArena arena;
   };
@@ -172,7 +179,8 @@ class GroupLevelSet {
   /// strictly worse, 0 on a full tie. As soon as a level strictly exceeds
   /// the incumbent's the evaluation is abandoned — the pruning that keeps
   /// the argmin cheap — so `scratch->pops` is complete (and equal to
-  /// EvaluateAdd) only when the result is <= 0.
+  /// EvaluateAdd) only when the result is <= 0; `scratch->lowest_filled`
+  /// tells which top levels a pruned compare did fill.
   ///
   /// Cost: with M = MaxActive() >= 2, a screen first decides levels M+1 and
   /// M from only v's words whose column is at least M-1 tall (the only
@@ -241,7 +249,8 @@ class GroupLevelSet {
   /// exact-level counts under the Fig 5.3 total order, returning +1 as soon
   /// as a level is strictly worse (pops left incomplete) and -1/0
   /// otherwise; with a null incumbent it returns 0. Pops are complete only
-  /// at floor 0 and a result <= 0.
+  /// at floor 0 and a result <= 0; scratch->lowest_filled records the
+  /// lowest level computed either way.
   int EvalCore(const ActivityVector& v, const ColumnLookup* lookup,
                const std::vector<size_t>* incumbent, uint32_t floor,
                EvalScratch* scratch) const;

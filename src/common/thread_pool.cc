@@ -1,6 +1,7 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -9,9 +10,9 @@
 namespace thrifty {
 
 ThreadPool::ThreadPool(int num_threads) {
-  int n = num_threads < 1 ? 1 : num_threads;
-  workers_.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
+  assert(num_threads >= 1);
+  workers_.reserve(static_cast<size_t>(num_threads));
+  for (int i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
 }

@@ -21,7 +21,8 @@ namespace thrifty {
 /// joins all workers.
 class ThreadPool {
  public:
-  /// \param num_threads worker count; values below 1 are clamped to 1.
+  /// \param num_threads worker count; must be at least 1 (MakeThreadPool
+  /// never asks for fewer).
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

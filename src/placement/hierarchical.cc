@@ -262,8 +262,9 @@ ClassMergePlan PlanClassMerge(int nodes, std::vector<GroupRef> refs,
 /// groups as warm seeds. Falls back to the chunk's unmerged groups when the
 /// merge cannot save a bin (better-of-both — every group of the class costs
 /// the same R * nodes — so the pass never loses nodes; ties keep the
-/// merged plan, which leaves fewer under-filled remnants behind).
-Result<std::vector<TenantGroupResult>> SolveMergeChunk(
+/// merged plan, which leaves fewer under-filled remnants behind). The
+/// result's argmin counters are the merge solve's either way.
+Result<GroupingSolution> SolveMergeChunk(
     const PackingProblem& problem, const MergeChunk& chunk,
     const std::unordered_map<TenantId, const PackingItem*>& items_by_id,
     const HierarchicalOptions& options) {
@@ -293,14 +294,16 @@ Result<std::vector<TenantGroupResult>> SolveMergeChunk(
   THRIFTY_ASSIGN_OR_RETURN(GroupingSolution merged,
                            SolveTwoStep(merge_problem, merge_options));
 
-  std::vector<TenantGroupResult> out;
   if (merged.groups.size() > chunk.GroupsConsumed()) {
-    for (const GroupRef& ref : chunk.reopened) out.push_back(*ref.group);
-    for (const GroupRef& ref : chunk.absorbers) out.push_back(*ref.group);
-    return out;
+    merged.groups.clear();
+    for (const GroupRef& ref : chunk.reopened) {
+      merged.groups.push_back(*ref.group);
+    }
+    for (const GroupRef& ref : chunk.absorbers) {
+      merged.groups.push_back(*ref.group);
+    }
   }
-  for (auto& group : merged.groups) out.push_back(std::move(group));
-  return out;
+  return merged;
 }
 
 }  // namespace
@@ -384,6 +387,8 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
   }
   std::vector<std::vector<TenantGroupResult>> shard_groups(num_shards);
   for (size_t t = 0; t < tasks.size(); ++t) {
+    stats->argmin_candidates += task_solutions[t].argmin_candidates;
+    stats->argmin_bound_skips += task_solutions[t].argmin_bound_skips;
     for (auto& group : task_solutions[t].groups) {
       shard_groups[tasks[t].shard].push_back(std::move(group));
     }
@@ -425,13 +430,13 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
   if (!chunk_order.empty()) {
     stats->max_merge_chunk_tenants = chunk_sizes[chunk_order.front()];
   }
-  std::vector<std::vector<TenantGroupResult>> chunk_groups(chunks.size());
+  std::vector<GroupingSolution> chunk_solutions(chunks.size());
   std::vector<Status> chunk_statuses(chunks.size(), Status::OK());
   ParallelFor(pool.get(), chunk_order.size(), [&](size_t k) {
     const size_t c = chunk_order[k];
     auto merged = SolveMergeChunk(problem, chunks[c], items_by_id, options);
     if (merged.ok()) {
-      chunk_groups[c] = *std::move(merged);
+      chunk_solutions[c] = *std::move(merged);
     } else {
       chunk_statuses[c] = merged.status();
     }
@@ -439,12 +444,16 @@ Result<GroupingSolution> SolveHierarchical(const PackingProblem& problem,
   for (const Status& status : chunk_statuses) {
     THRIFTY_RETURN_NOT_OK(status);
   }
+  for (const GroupingSolution& merged : chunk_solutions) {
+    stats->argmin_candidates += merged.argmin_candidates;
+    stats->argmin_bound_skips += merged.argmin_bound_skips;
+  }
   for (const ClassMergePlan& plan : plans) {
     for (const GroupRef& ref : plan.kept) {
       solution.groups.push_back(*ref.group);
     }
     for (size_t c : plan.chunk_ids) {
-      for (auto& group : chunk_groups[c]) {
+      for (auto& group : chunk_solutions[c].groups) {
         solution.groups.push_back(std::move(group));
       }
     }

@@ -104,6 +104,11 @@ struct HierarchicalStats {
   size_t max_class_task_tenants = 0;
   size_t merge_chunks = 0;
   size_t max_merge_chunk_tenants = 0;
+  /// The two-step argmin work counters (GroupingSolution::argmin_*),
+  /// summed over every shard-class task and merge chunk. Neither depends
+  /// on shard_jobs; the bound skips depend on solver_jobs.
+  size_t argmin_candidates = 0;
+  size_t argmin_bound_skips = 0;
   double signature_seconds = 0;
   double shard_solve_seconds = 0;
   double merge_seconds = 0;

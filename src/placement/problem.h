@@ -87,6 +87,13 @@ struct GroupingSolution {
   /// Seed members dropped because their tenant id is absent from this
   /// problem (e.g. de-registered tenants in a stale seed).
   size_t warm_members_missing = 0;
+  /// Argmin work counters (two-step only), deterministic: live candidates
+  /// scanned over all growth steps, and of those the ones rejected by
+  /// their carried top-level bounds before any word was read. The first is
+  /// the same at every solver_jobs; the second only at a fixed solver_jobs,
+  /// since each scan shard starts without an incumbent.
+  size_t argmin_candidates = 0;
+  size_t argmin_bound_skips = 0;
 
   /// \brief Total nodes used: sum over groups of R * max_nodes.
   int64_t NodesUsed(int replication_factor) const;

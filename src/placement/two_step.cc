@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -48,76 +50,163 @@ bool TakesOver(const std::vector<size_t>& best_pops, TenantId best_id,
   return cmp < 0 || (cmp == 0 && id > best_id);
 }
 
+/// A candidate's counts at the group's top two levels, with M =
+/// MaxActive(): `top` = |c & L_M|, its would-be count at the new level
+/// M+1, and `below` = |c & L_{M-1}| (L_0 is all ones; 0 when M == 0, where
+/// level M is not compared). The would-be exact count at level M is
+/// |L_M| + below - 2 top, so under the Fig 5.3 order a candidate with a
+/// larger `top`, or an equal `top` and a larger `below`, loses outright.
+struct TopCounts {
+  size_t top = 0;
+  size_t below = 0;
+
+  bool LosesTo(const TopCounts& other) const {
+    return top > other.top || (top == other.top && below > other.below);
+  }
+};
+
+/// Lower bounds on a candidate's TopCounts, carried across the growth
+/// steps of one group (DESIGN.md §3, "Bounds carried across growth
+/// steps"). While the group grows with M fixed, L_M and L_{M-1} only gain
+/// bits, so counts taken at an earlier step stay lower bounds. When M
+/// rises by one, the old L_M is a subset of the new L_{M-1}, so the old
+/// `top` bounds the new `below`, and the new `top` is bounded only by 0.
+/// The all-zero record is a valid bound at any M.
+struct TopBound {
+  uint32_t m = 0;
+  uint32_t top = 0;
+  uint32_t below = 0;
+
+  TopCounts At(int max_active) const {
+    const uint32_t now = static_cast<uint32_t>(max_active);
+    if (m == now) return {top, below};
+    if (m + 1 == now) return {0, top};
+    return {};
+  }
+
+  /// Saturates at 2^32 - 1, which keeps each field a lower bound.
+  void Record(int max_active, const TopCounts& counts) {
+    constexpr size_t kMax = std::numeric_limits<uint32_t>::max();
+    m = static_cast<uint32_t>(max_active);
+    top = static_cast<uint32_t>(std::min(counts.top, kMax));
+    below = static_cast<uint32_t>(std::min(counts.below, kMax));
+  }
+};
+
 /// The remaining-candidate list of one initial group. Removal tombstones
 /// the slot and the array is compacted once dead slots outnumber live
 /// ones, so a whole solve costs amortized O(1) per removal instead of the
 /// former quadratic mid-vector erase — while live slots keep their original
-/// sorted order, which the Fig 5.3 tie-breaks depend on.
+/// sorted order, which the Fig 5.3 tie-breaks depend on. Each slot carries
+/// its candidate's TopBound for the group being grown.
 class CandidateList {
  public:
-  explicit CandidateList(std::vector<const PackingItem*> members)
-      : slots_(std::move(members)), live_(slots_.size()) {}
+  struct Slot {
+    const PackingItem* item;  // nullptr once removed
+    TopBound bound;
+  };
+
+  explicit CandidateList(const std::vector<const PackingItem*>& members)
+      : live_(members.size()) {
+    slots_.reserve(members.size());
+    for (const PackingItem* item : members) slots_.push_back({item, {}});
+  }
 
   bool Empty() const { return live_ == 0; }
 
-  /// Raw slot array; tombstoned entries are nullptr.
-  const std::vector<const PackingItem*>& slots() const { return slots_; }
+  /// Raw slot array; tombstoned entries have a null item. Scan shards
+  /// write the bounds of their own slot ranges only.
+  std::vector<Slot>& slots() { return slots_; }
   /// First possibly-live raw slot.
   size_t head() const { return head_; }
 
+  /// Forgets every bound: a new group starts with no carried knowledge.
+  void ResetBounds() {
+    for (size_t s = head_; s < slots_.size(); ++s) slots_[s].bound = {};
+  }
+
   /// Removes and returns the least active remaining tenant.
   const PackingItem* PopFront() {
-    const PackingItem* item = slots_[head_];
+    const PackingItem* item = slots_[head_].item;
     RemoveSlot(head_);
     return item;
   }
 
   void RemoveSlot(size_t s) {
-    slots_[s] = nullptr;
+    slots_[s].item = nullptr;
     --live_;
-    while (head_ < slots_.size() && slots_[head_] == nullptr) ++head_;
+    while (head_ < slots_.size() && slots_[head_].item == nullptr) ++head_;
     if (slots_.size() - head_ > 2 * live_) Compact();
   }
 
  private:
   void Compact() {
     slots_.erase(slots_.begin(), slots_.begin() + static_cast<ptrdiff_t>(head_));
-    slots_.erase(std::remove(slots_.begin(), slots_.end(), nullptr),
+    slots_.erase(std::remove_if(slots_.begin(), slots_.end(),
+                                [](const Slot& slot) {
+                                  return slot.item == nullptr;
+                                }),
                  slots_.end());
     head_ = 0;
   }
 
-  std::vector<const PackingItem*> slots_;
+  std::vector<Slot> slots_;
   size_t head_ = 0;
   size_t live_ = 0;
 };
 
 struct BestCandidate {
   std::vector<size_t> pops;
+  TopCounts counts;  // exact, from `pops`
   const PackingItem* item = nullptr;
   size_t slot = 0;
+};
+
+/// Deterministic work tallies of the argmin scans.
+struct ArgminWork {
+  size_t candidates = 0;   // live candidates scanned
+  size_t bound_skips = 0;  // of them, rejected by their TopBound alone
+
+  void operator+=(const ArgminWork& other) {
+    candidates += other.candidates;
+    bound_skips += other.bound_skips;
+  }
 };
 
 /// Left-to-right scan of raw slots [lo, hi), skipping tombstones — the
 /// serial argmin, reused verbatim as the per-shard scan. `lookup` is the
 /// group's word -> column table, shared read-only by every shard. The
 /// scratch buffers are reused across every candidate in the shard (no
-/// per-candidate heap allocation), and a candidate is abandoned as soon as
-/// its top-down partial exact-level counts fall behind the shard incumbent
-/// — both outcome-invisible: the winner and its popcounts equal the plain
+/// per-candidate heap allocation). A candidate whose carried TopBound
+/// already loses to the shard incumbent's exact TopCounts is skipped before
+/// any of its words is read; any other is abandoned as soon as its
+/// top-down partial exact-level counts fall behind the incumbent, and the
+/// top counts the evaluation did compute tighten its bound. All of it is
+/// outcome-invisible: the winner and its popcounts equal the plain
 /// EvaluateAdd + TakesOver scan's.
 void ScanShard(const GroupLevelSet& levels,
                const GroupLevelSet::ColumnLookup& lookup,
-               const std::vector<const PackingItem*>& slots, size_t lo,
-               size_t hi, BestCandidate* best,
-               GroupLevelSet::EvalScratch* scratch) {
+               std::vector<CandidateList::Slot>* slots, size_t lo, size_t hi,
+               BestCandidate* best, GroupLevelSet::EvalScratch* scratch,
+               ArgminWork* work) {
+  const int max_active = levels.MaxActive();
+  const size_t m = static_cast<size_t>(max_active);
+  const size_t top_level_pop = m >= 1 ? levels.level_popcounts()[m - 1] : 0;
   for (size_t s = lo; s < hi; ++s) {
-    const PackingItem* item = slots[s];
+    CandidateList::Slot& slot = (*slots)[s];
+    const PackingItem* item = slot.item;
     if (item == nullptr) continue;
+    ++work->candidates;
+    const TopCounts bound = slot.bound.At(max_active);
+    // No incumbent (or an empty-outcome one): replaced unconditionally,
+    // so the candidate needs a full evaluation, not a comparison.
+    const bool contested = best->item != nullptr && !best->pops.empty();
+    if (contested && bound.LosesTo(best->counts)) {
+      ++work->bound_skips;
+      continue;
+    }
     bool take;
-    if (best->item == nullptr || best->pops.empty()) {
-      // No incumbent (or an empty-outcome one): replaced unconditionally,
-      // so the candidate needs a full evaluation, not a comparison.
+    if (!contested) {
       levels.EvaluateAddInto(*item->activity, lookup, scratch);
       take = true;
     } else {
@@ -125,8 +214,15 @@ void ScanShard(const GroupLevelSet& levels,
                                           lookup, scratch);
       take = cmp < 0 || (cmp == 0 && item->tenant_id > best->item->tenant_id);
     }
+    const std::vector<size_t>& pops = scratch->pops;
+    TopCounts seen{pops.size() > m ? pops[m] : 0, bound.below};
+    if (m >= 1 && scratch->lowest_filled <= m) {
+      seen.below = pops[m - 1] + seen.top - top_level_pop;
+    }
+    slot.bound.Record(max_active, seen);
     if (take) {
       best->pops.swap(scratch->pops);
+      best->counts = seen;
       best->item = item;
       best->slot = s;
     }
@@ -140,26 +236,29 @@ constexpr size_t kMinShardSlots = 192;
 
 BestCandidate FindBestCandidate(const GroupLevelSet& levels,
                                 const GroupLevelSet::ColumnLookup& lookup,
-                                const CandidateList& remaining,
-                                ThreadPool* pool,
+                                CandidateList* remaining, ThreadPool* pool,
                                 std::vector<GroupLevelSet::EvalScratch>*
-                                    scratch) {
-  const auto& slots = remaining.slots();
-  const size_t lo = remaining.head();
+                                    scratch,
+                                ArgminWork* work) {
+  auto& slots = remaining->slots();
+  const size_t lo = remaining->head();
   const size_t span = slots.size() - lo;
   size_t shards = pool == nullptr ? 1 : pool->size() + 1;
   if (shards > span / kMinShardSlots) shards = span / kMinShardSlots;
   if (shards <= 1) {
     BestCandidate best;
-    ScanShard(levels, lookup, slots, lo, slots.size(), &best,
-              &(*scratch)[0]);
+    ScanShard(levels, lookup, &slots, lo, slots.size(), &best,
+              &(*scratch)[0], work);
     return best;
   }
   std::vector<BestCandidate> bests(shards);
+  std::vector<ArgminWork> shard_work(shards);
   ParallelFor(pool, shards, [&](size_t k) {
-    ScanShard(levels, lookup, slots, lo + span * k / shards,
-              lo + span * (k + 1) / shards, &bests[k], &(*scratch)[k]);
+    ScanShard(levels, lookup, &slots, lo + span * k / shards,
+              lo + span * (k + 1) / shards, &bests[k], &(*scratch)[k],
+              &shard_work[k]);
   });
+  for (const ArgminWork& w : shard_work) *work += w;
   // Reduce shard winners in ascending shard order with the same update
   // rule, so the merged winner equals the serial left-to-right scan's.
   BestCandidate best;
@@ -181,6 +280,7 @@ struct InitialGroupResult {
   size_t warm_kept = 0;
   size_t warm_repaired = 0;
   size_t warm_evicted = 0;
+  ArgminWork argmin;
 };
 
 /// Group repair: evicts members from an infeasible seed group until its
@@ -231,16 +331,19 @@ size_t RepairSeedGroup(const PackingProblem& problem, GroupLevelSet* levels,
 /// Algorithm 2's growth loop: keeps adding the Fig 5.3-best remaining
 /// candidate until the next addition would violate the SLA guarantee, then
 /// closes the group (TTP, max-active, storage gauges). Each growth step
-/// re-syncs `lookup` to the grown group once, before its scan.
+/// re-syncs `lookup` to the grown group once, before its scan; the
+/// candidates' TopBounds start from zero and carry across the steps.
 void GrowAndClose(const PackingProblem& problem, GroupLevelSet* levels,
                   TenantGroupResult* group, CandidateList* remaining,
                   ThreadPool* pool, GroupLevelSet::ColumnLookup* lookup,
-                  std::vector<GroupLevelSet::EvalScratch>* scratch) {
+                  std::vector<GroupLevelSet::EvalScratch>* scratch,
+                  ArgminWork* work) {
   const int r = problem.replication_factor;
+  remaining->ResetBounds();
   while (!remaining->Empty()) {
     lookup->Sync(*levels);
     BestCandidate best =
-        FindBestCandidate(*levels, *lookup, *remaining, pool, scratch);
+        FindBestCandidate(*levels, *lookup, remaining, pool, scratch, work);
     if (levels->TtpFromPopcounts(best.pops, r) + 1e-12 <
         problem.sla_fraction) {
       break;  // adding T_best would violate P; start a new tenant-group
@@ -314,7 +417,7 @@ InitialGroupResult SolveInitialGroup(
     }
   }
 
-  CandidateList remaining(std::move(members));
+  CandidateList remaining(members);
   GroupLevelSet::ColumnLookup lookup;
   std::vector<GroupLevelSet::EvalScratch> scratch(
       pool == nullptr ? 1 : pool->size() + 1);
@@ -323,7 +426,7 @@ InitialGroupResult SolveInitialGroup(
   // so a tightened instance can absorb evicted singletons...
   for (auto& [levels, group] : seeded) {
     GrowAndClose(problem, &levels, &group, &remaining, pool, &lookup,
-                 &scratch);
+                 &scratch, &result.argmin);
     result.groups.push_back(std::move(group));
   }
 
@@ -339,7 +442,7 @@ InitialGroupResult SolveInitialGroup(
     group.tenant_ids.push_back(seed->tenant_id);
 
     GrowAndClose(problem, &levels, &group, &remaining, pool, &lookup,
-                 &scratch);
+                 &scratch, &result.argmin);
     result.groups.push_back(std::move(group));
   }
   return result;
@@ -421,6 +524,8 @@ Result<GroupingSolution> SolveTwoStep(const PackingProblem& problem,
     solution.warm_groups_kept += result.warm_kept;
     solution.warm_groups_repaired += result.warm_repaired;
     solution.warm_members_evicted += result.warm_evicted;
+    solution.argmin_candidates += result.argmin.candidates;
+    solution.argmin_bound_skips += result.argmin.bound_skips;
     for (auto& group : result.groups) {
       solution.groups.push_back(std::move(group));
     }

@@ -366,6 +366,11 @@ TEST(HierarchicalTest, ScheduleCountersPinned) {
     EXPECT_EQ(stats.merge_chunks, 2u) << "shard_jobs=" << shard_jobs;
     EXPECT_EQ(stats.max_merge_chunk_tenants, 84u)
         << "shard_jobs=" << shard_jobs;
+    // The two-step argmin counters, summed over every task and chunk. Each
+    // task solves at the default solver_jobs, so the bound skips do not
+    // depend on shard_jobs either.
+    EXPECT_EQ(stats.argmin_candidates, 2579u) << "shard_jobs=" << shard_jobs;
+    EXPECT_EQ(stats.argmin_bound_skips, 1608u) << "shard_jobs=" << shard_jobs;
   }
 }
 

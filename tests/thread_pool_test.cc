@@ -19,14 +19,6 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPoolTest, ClampsThreadCountToAtLeastOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), 1u);
-  std::atomic<int> counter{0};
-  ParallelFor(&pool, 2, [&counter](size_t) { ++counter; });
-  EXPECT_EQ(counter.load(), 2);
-}
-
 TEST(ThreadPoolTest, DestructorDrainsPendingTasks) {
   // A ParallelFor helper can still be queued when the call returns (the
   // caller drained every index first). Each helper holds the loop's shared

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "fig51_fixture.h"
 #include "placement/ffd.h"
 
@@ -198,6 +199,43 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<int, double>{3, 0.99},
                       std::pair<int, double>{3, 0.9999},
                       std::pair<int, double>{3, 1.0}));
+
+// The argmin work counters, pinned on a 600-tenant single-class instance
+// (wide enough that the scan splits into shards at solver_jobs 2 and 4).
+// argmin_candidates counts every live candidate of every growth step, a
+// function of the grouping alone, so it is pinned at every solver_jobs.
+// argmin_bound_skips is pinned at solver_jobs 1 only: each scan shard
+// starts with no incumbent, so how many candidates the carried bounds
+// reject depends on where the shards split.
+TEST(TwoStepTest, ArgminWorkCountersArePinned) {
+  Rng rng(2024);
+  const size_t num_epochs = 512;
+  std::vector<ActivityVector> activities;
+  for (TenantId id = 1; id <= 600; ++id) {
+    DynamicBitmap bits(num_epochs);
+    const int runs = static_cast<int>(rng.NextInt(1, 4));
+    for (int run = 0; run < runs; ++run) {
+      const size_t begin = rng.NextBounded(num_epochs);
+      bits.SetRange(begin, begin + 8 + rng.NextBounded(40));
+    }
+    activities.push_back(ActivityVector::FromBitmap(id, bits));
+  }
+  auto problem = MakePackingProblem(UniformTenants(600, 4), activities, 3,
+                                    0.99);
+  ASSERT_TRUE(problem.ok());
+  for (int jobs : {1, 2, 4}) {
+    TwoStepOptions options;
+    options.solver_jobs = jobs;
+    auto solution = SolveTwoStep(*problem, options);
+    ASSERT_TRUE(solution.ok());
+    // Each step scans every remaining candidate and then removes one (the
+    // winner, or after a close the next group's seed): 599 + ... + 1.
+    EXPECT_EQ(solution->argmin_candidates, 179700u) << "jobs=" << jobs;
+    if (jobs == 1) {
+      EXPECT_EQ(solution->argmin_bound_skips, 141658u);
+    }
+  }
+}
 
 // --- Warm start -----------------------------------------------------------
 
