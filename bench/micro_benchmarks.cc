@@ -1,9 +1,12 @@
 // Micro-benchmarks (google-benchmark) for Thrifty's hot paths: the
 // level-set candidate evaluation that dominates tenant grouping, Algorithm 1
-// routing decisions, processor-sharing instance event handling, and epoch
+// routing decisions, processor-sharing instance event handling, the event
+// queue's cancel-and-reschedule churn, the RT-TTP monitor, and epoch
 // discretization.
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +25,7 @@
 #include "routing/query_router.h"
 #include "scaling/rt_ttp_monitor.h"
 #include "sim/engine.h"
+#include "sim/event_queue.h"
 
 namespace thrifty {
 namespace {
@@ -246,6 +250,42 @@ void BM_RtTtpUpdateAndQuery(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_RtTtpUpdateAndQuery);
+
+void BM_EventQueueCancelChurn(benchmark::State& state) {
+  // The executor's re-arm pattern: each of `live` instances keeps one
+  // pending completion and replaces it (cancel, then schedule) on every
+  // admission; every fourth step fires the earliest completion, which
+  // re-arms its instance, so the live count stays at `live`.
+  struct Churn {
+    EventQueue queue;
+    Rng rng{23};
+    SimTime now = 0;
+    std::vector<EventId> pending;
+    void Arm(size_t i) {
+      pending[i] = queue.Schedule(now + rng.NextInt(1, kHour),
+                                  [this, i](SimTime) { Arm(i); });
+    }
+  };
+  const size_t live = static_cast<size_t>(state.range(0));
+  Churn churn;
+  churn.pending.resize(live);
+  for (size_t i = 0; i < live; ++i) churn.Arm(i);
+  uint64_t step = 0;
+  for (auto _ : state) {
+    const size_t i = churn.rng.NextBounded(live);
+    churn.queue.Cancel(churn.pending[i]);
+    churn.Arm(i);
+    if (++step % 4 == 0) {
+      SimTime t;
+      EventCallback cb = churn.queue.Pop(&t);
+      churn.now = t;
+      cb(t);
+    }
+  }
+  benchmark::DoNotOptimize(churn.queue.NextTime());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueCancelChurn)->Arg(2048);
 
 }  // namespace
 }  // namespace thrifty

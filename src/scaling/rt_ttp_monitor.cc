@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 namespace thrifty {
 
@@ -14,6 +15,7 @@ RtTtpMonitor::RtTtpMonitor(int r, SimDuration window)
 void RtTtpMonitor::OnActiveCountChange(SimTime now, int count) {
   assert(segments_.empty() || now >= segments_.back().since);
   if (!segments_.empty() && segments_.back().since == now) {
+    // A rewrite keeps the segment's start, so its above_before still holds.
     segments_.back().count = count;
     // Collapse a no-op rewrite into the previous segment.
     if (segments_.size() >= 2 &&
@@ -23,7 +25,9 @@ void RtTtpMonitor::OnActiveCountChange(SimTime now, int count) {
     return;
   }
   if (!segments_.empty() && segments_.back().count == count) return;
-  segments_.push_back({now, count});
+  const SimDuration above =
+      segments_.empty() ? 0 : AboveWithin(segments_.back(), now);
+  segments_.push_back({now, count, above});
   Prune(now - window_);
 }
 
@@ -31,25 +35,24 @@ int RtTtpMonitor::current_count() const {
   return segments_.empty() ? 0 : segments_.back().count;
 }
 
-double RtTtpMonitor::FractionAbove(SimTime now, int threshold) const {
-  SimTime begin = now - window_;
-  if (now <= begin) return 0;
-  SimDuration above = 0;
-  // Sweep segments overlapping [begin, now). Time before the first segment
-  // counts as zero active tenants (never above a non-negative threshold).
-  for (size_t i = 0; i < segments_.size(); ++i) {
-    SimTime seg_begin = std::max(segments_[i].since, begin);
-    SimTime seg_end =
-        i + 1 < segments_.size() ? segments_[i + 1].since : now;
-    seg_end = std::min(seg_end, now);
-    if (seg_end <= seg_begin) continue;
-    if (segments_[i].count > threshold) above += seg_end - seg_begin;
+SimDuration RtTtpMonitor::AboveUntil(SimTime t) const {
+  // The last segment starting at or before t; none if t precedes them all.
+  auto it = std::upper_bound(
+      segments_.begin(), segments_.end(), t,
+      [](SimTime time, const Segment& seg) { return time < seg.since; });
+  if (it == segments_.begin()) {
+    return segments_.empty() ? 0 : segments_.front().above_before;
   }
-  return static_cast<double>(above) / static_cast<double>(window_);
+  return AboveWithin(*std::prev(it), t);
+}
+
+SimDuration RtTtpMonitor::AboveWithin(const Segment& seg, SimTime t) const {
+  return seg.above_before + (seg.count > r_ ? t - seg.since : 0);
 }
 
 double RtTtpMonitor::RtTtp(SimTime now) const {
-  return 1.0 - FractionAbove(now, r_);
+  const SimDuration above = AboveUntil(now) - AboveUntil(now - window_);
+  return 1.0 - static_cast<double>(above) / static_cast<double>(window_);
 }
 
 void RtTtpMonitor::Prune(SimTime horizon) {

@@ -19,6 +19,8 @@ namespace thrifty {
 /// \brief Sliding-window RT-TTP of one tenant-group.
 ///
 /// Time before the first recorded change counts as zero active tenants.
+/// Each kept segment carries the time spent above R before it, so a query
+/// is two binary searches over the kept segments rather than a sweep.
 class RtTtpMonitor {
  public:
   /// \param r replication factor (the count threshold).
@@ -40,15 +42,22 @@ class RtTtpMonitor {
   /// an empty window (now <= 0 history counts as inactive).
   double RtTtp(SimTime now) const;
 
-  /// \brief Fraction of [now - window, now) with count > threshold
-  /// (generalization used by tests and manual tuning).
-  double FractionAbove(SimTime now, int threshold) const;
-
  private:
   struct Segment {
     SimTime since;
     int count;
+    /// Time with count > r from the first recorded change up to `since`.
+    SimDuration above_before;
   };
+
+  /// \brief Time with count > r from the first recorded change up to `t`.
+  /// Before the front segment it is the front's `above_before`, so that a
+  /// difference over a window only counts time the kept segments cover.
+  SimDuration AboveUntil(SimTime t) const;
+
+  /// \brief AboveUntil(t) for a `t` at or after `seg.since` and before the
+  /// next segment.
+  SimDuration AboveWithin(const Segment& seg, SimTime t) const;
 
   /// \brief Drops segments that ended before `horizon` (keeps the one
   /// straddling it).

@@ -51,15 +51,4 @@ double SimCostGauge::TouchedPerEvent() const {
   return static_cast<double>(queries_touched()) / static_cast<double>(events);
 }
 
-void SimCostGauge::Reset() {
-  completion_events_.store(0, std::memory_order_relaxed);
-  submits_.store(0, std::memory_order_relaxed);
-  queries_touched_.store(0, std::memory_order_relaxed);
-  peak_running_set_.store(0, std::memory_order_relaxed);
-  query_work_ms_.store(0, std::memory_order_relaxed);
-  slot_work_ms_.store(0, std::memory_order_relaxed);
-  shared_batches_.store(0, std::memory_order_relaxed);
-  shared_joins_.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace thrifty

@@ -84,8 +84,6 @@ class SimCostGauge {
   /// instead of claiming a slot (0 when no shared admissions happened).
   double SharedHitRate() const;
 
-  void Reset();
-
  private:
   std::atomic<uint64_t> completion_events_{0};
   std::atomic<uint64_t> submits_{0};

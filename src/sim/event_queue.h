@@ -5,8 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "common/sim_time.h"
@@ -23,27 +21,30 @@ using EventCallback = std::function<void(SimTime)>;
 
 /// \brief Time-ordered queue of cancellable events.
 ///
-/// Events at equal times fire in scheduling order (FIFO by sequence number),
-/// which makes simulation runs fully deterministic. Cancellation is lazy:
-/// cancelled entries are skipped at pop time, and the heap is compacted
-/// whenever tombstones outnumber live entries, so long runs that schedule
-/// and cancel far-future events stay bounded in memory.
+/// Events at equal times fire in scheduling order, so simulation runs are
+/// fully deterministic. The queue is an indexed binary heap of 16-byte
+/// (time, id) keys: each callback sits in a reusable slot that records its
+/// key's heap position, so Cancel is O(log n) and only live events are
+/// held. An id is `sequence << kSlotBits | slot`, so ids grow in scheduling
+/// order; an id its slot no longer holds (fired, cancelled, or the slot
+/// reused) is stale.
 class EventQueue {
  public:
   /// \brief Schedules `cb` at absolute time `t`; returns a cancellation
   /// handle.
   EventId Schedule(SimTime t, EventCallback cb);
 
-  /// \brief Cancels a previously scheduled event. Cancelling an already
-  /// fired or already cancelled event is a harmless no-op and leaves no
-  /// bookkeeping behind.
+  /// \brief Cancels a previously scheduled event in O(log n). Cancelling an
+  /// already fired or already cancelled event is a harmless no-op.
   void Cancel(EventId id);
 
   /// \brief True if no live event remains.
-  bool Empty() const;
+  bool Empty() const { return heap_.empty(); }
 
   /// \brief Time of the earliest live event; kNeverTime if empty.
-  SimTime NextTime() const;
+  SimTime NextTime() const {
+    return heap_.empty() ? kNeverTime : heap_.front().time;
+  }
 
   /// \brief Removes and returns the earliest live event.
   ///
@@ -51,48 +52,43 @@ class EventQueue {
   EventCallback Pop(SimTime* time);
 
   /// \brief Number of live (scheduled, not yet fired or cancelled) events.
-  size_t LiveCount() const { return pending_.size(); }
+  size_t LiveCount() const { return heap_.size(); }
 
-  /// \brief Number of cancelled-but-not-yet-reclaimed heap entries.
-  ///
-  /// Exposed for tests/diagnostics; bounded by LiveCount() + a constant via
-  /// amortized compaction.
-  size_t CancelledCount() const { return cancelled_.size(); }
+  /// \brief Number of callback slots ever allocated: the peak of
+  /// LiveCount(), since freed slots are reused before new ones are made.
+  size_t SlotCount() const { return slots_.size(); }
 
  private:
-  struct Entry {
+  static constexpr int kSlotBits = 24;
+  static constexpr EventId kSlotMask = (EventId{1} << kSlotBits) - 1;
+
+  struct Key {
     SimTime time;
     EventId id;
+  };
+  struct Slot {
+    EventId id = kInvalidEventId;  // kInvalidEventId while the slot is free
+    uint32_t pos = 0;              // index of the slot's key in heap_
     EventCallback cb;
   };
-  struct EntryLater {
-    bool operator()(const Entry& a, const Entry& b) const {
-      // Larger time (or larger sequence at equal time) = lower priority.
-      return a.time > b.time || (a.time == b.time && a.id > b.id);
-    }
-  };
-  // Exposes the protected underlying container so compaction can drop
-  // tombstoned entries in one O(n) pass instead of popping one by one.
-  struct Heap : std::priority_queue<Entry, std::vector<Entry>, EntryLater> {
-    std::vector<Entry>& entries() { return c; }
-  };
 
-  /// \brief Drops cancelled entries from the queue head.
-  void SkipCancelled() const;
+  static bool Before(const Key& a, const Key& b) {
+    return a.time < b.time || (a.time == b.time && a.id < b.id);
+  }
+  static uint32_t SlotOf(EventId id) {
+    return static_cast<uint32_t>(id & kSlotMask);
+  }
 
-  /// \brief Rebuilds the heap without tombstoned entries once they
-  /// outnumber live ones (amortized O(1) per cancel).
-  void CompactIfNeeded();
+  /// \brief Stores `key` at heap index `pos` and records the position.
+  void Place(uint32_t pos, const Key& key);
+  void SiftUp(uint32_t pos);
+  /// \brief Removes the key at heap index `pos` and frees its slot.
+  void RemoveAt(uint32_t pos);
 
-  // Lazy cancellation mutates the heap/tombstones from logically-const
-  // queries (Empty/NextTime), hence mutable.
-  mutable Heap queue_;
-  /// Ids scheduled but not yet fired or cancelled. Guards Cancel against
-  /// ids that already fired (a stale cancel must be a no-op and must not
-  /// grow cancelled_).
-  std::unordered_set<EventId> pending_;
-  mutable std::unordered_set<EventId> cancelled_;
-  EventId next_id_ = 1;
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  uint64_t next_seq_ = 1;
 };
 
 }  // namespace thrifty

@@ -3,7 +3,11 @@
 // are single runs, so this is what makes them meaningful.
 
 #include <map>
+#include <memory>
+#include <set>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -19,9 +23,12 @@
 #include "placement/ffd.h"
 #include "placement/problem.h"
 #include "placement/two_step.h"
+#include "routing/query_router.h"
+#include "sim/cost_gauge.h"
 #include "sim/engine.h"
 #include "sim/event_queue.h"
 #include "workload/log_generator.h"
+#include "workload/tenant.h"
 #include "workload/tenant_population.h"
 
 namespace thrifty {
@@ -71,6 +78,69 @@ TEST(DeterminismTest, EndToEndServiceRunIsBitExact) {
   EXPECT_NE(a, c);
 }
 
+// The simulator's work on a fixed toy replay is a pure function of the
+// inputs, so it is pinned exactly: events fired by the engine, and the
+// executor's admissions, completion events and touched query records. The
+// replay runs with elastic scaling on (at least one scale-up happens) and
+// one node failure mid-replay. How the event queue stores events is free to
+// change; which events fire, and when, is not.
+TEST(DeterminismTest, SimWorkCountersArePinned) {
+  QueryCatalog catalog = QueryCatalog::Default();
+  Rng rng(4711);
+  SessionLibrary library(&catalog, {2, 4}, 4, rng.Fork(1));
+  PopulationOptions pop;
+  pop.node_sizes = {2, 4};
+  Rng pop_rng = rng.Fork(2);
+  auto tenants = *GenerateTenantPopulation(16, pop, &pop_rng);
+  LogComposerOptions composer_options;
+  composer_options.horizon_days = 3;
+  LogComposer composer(&library, composer_options);
+  Rng compose_rng = rng.Fork(3);
+  auto logs = *composer.Compose(&tenants, &compose_rng);
+  // The plan is advised at a looser P than the service enforces, so the
+  // run-time RT-TTP dips below P and elastic scaling acts.
+  AdvisorOptions advisor_options;
+  advisor_options.replication_factor = 2;
+  advisor_options.sla_fraction = 0.9;
+  auto advice = *DeploymentAdvisor(advisor_options)
+                     .Advise(tenants, logs, 0, composer.horizon_end());
+
+  SimEngine engine;
+  SimCostGauge gauge;
+  engine.set_cost_gauge(&gauge);
+  Cluster cluster(static_cast<int>(advice.plan.TotalNodesUsed() +
+                                   TotalRequestedNodes(tenants)),
+                  &engine);
+  ServiceOptions service_options;
+  service_options.replication_factor = 2;
+  service_options.sla_fraction = 0.99;
+  service_options.elastic_scaling = true;
+  service_options.scaling.window = 6 * kHour;
+  service_options.scaling.warmup = 6 * kHour;
+  ThriftyService service(&engine, &cluster, &catalog, service_options);
+  ASSERT_TRUE(service.Deploy(advice.plan).ok());
+  ASSERT_TRUE(service.ScheduleLogReplay(logs).ok());
+  auto router =
+      service.router()->RouterForGroup(advice.plan.groups[0].group_id);
+  ASSERT_TRUE(router.ok());
+  const InstanceId target = (*router)->mppdbs()[0]->id();
+  bool failed = false;
+  engine.ScheduleAt(composer.horizon_end() / 2, [&](SimTime) {
+    failed = cluster.InjectNodeFailure(target).ok();
+  });
+  // The scaler's periodic checks never run out, so stop after a drain.
+  engine.RunUntil(composer.horizon_end() + 12 * kHour);
+
+  EXPECT_TRUE(failed);
+  ASSERT_NE(service.scaler(), nullptr);
+  EXPECT_EQ(service.scaler()->events().size(), 1u);
+  EXPECT_EQ(service.metrics().completed, 10015u);
+  EXPECT_EQ(engine.events_processed(), 28328u);
+  EXPECT_EQ(gauge.submits(), 20030u);
+  EXPECT_EQ(gauge.completion_events(), 17372u);
+  EXPECT_EQ(gauge.queries_touched(), 108939u);
+}
+
 TEST(DeterminismTest, SolversAreDeterministic) {
   QueryCatalog catalog = QueryCatalog::Default();
   Rng rng(31337);
@@ -107,50 +177,53 @@ TEST(DeterminismTest, SolversAreDeterministic) {
 
 // Randomized model check: the cancellable event queue agrees with a
 // reference implementation under arbitrary schedule/cancel/pop interleaving.
+// Cancels hit live ids, fired or cancelled ids, and ids whose slot a later
+// event has reused; every pop must return exactly the reference's event.
 TEST(DeterminismTest, EventQueueMatchesReferenceModel) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
     EventQueue queue;
-    // Reference: map id -> (time, alive), fired order by (time, id).
-    struct Ref {
-      SimTime time;
-      bool alive;
-    };
-    std::map<EventId, Ref> reference;
-    for (int op = 0; op < 200; ++op) {
+    // Reference: live events ordered by (time, id), plus every id ever
+    // scheduled that has since fired or been cancelled.
+    std::set<std::pair<SimTime, EventId>> live;
+    std::map<EventId, SimTime> live_time;
+    std::vector<EventId> dead;
+    EventId popped = kInvalidEventId;
+    for (int op = 0; op < 2000; ++op) {
       double u = rng.NextDouble();
-      if (u < 0.55) {
+      if (u < 0.45) {
         SimTime t = rng.NextInt(0, 50);
-        EventId id = queue.Schedule(t, [](SimTime) {});
-        reference[id] = {t, true};
-      } else if (u < 0.75 && !reference.empty()) {
-        // Cancel a random known id (possibly already fired/cancelled).
-        auto it = reference.begin();
-        std::advance(it, static_cast<long>(
-                             rng.NextBounded(reference.size())));
-        queue.Cancel(it->first);
-        it->second.alive = false;
-      } else if (!queue.Empty()) {
+        auto id = std::make_shared<EventId>(kInvalidEventId);
+        *id = queue.Schedule(t, [&popped, id](SimTime) { popped = *id; });
+        ASSERT_TRUE(live_time.emplace(*id, t).second);
+        live.emplace(t, *id);
+      } else if (u < 0.60 && !live.empty()) {
+        // Cancel a live id.
+        auto it = live_time.begin();
+        std::advance(it, static_cast<long>(rng.NextBounded(live_time.size())));
+        const EventId id = it->first;
+        queue.Cancel(id);
+        live.erase({it->second, id});
+        live_time.erase(it);
+        dead.push_back(id);
+      } else if (u < 0.75 && !dead.empty()) {
+        // Cancel a fired or cancelled id; its slot may hold a live event.
+        queue.Cancel(dead[rng.NextBounded(dead.size())]);
+      } else if (!live.empty()) {
         SimTime t;
-        queue.Pop(&t);
-        // Reference pop: earliest alive by (time, id).
-        EventId best = 0;
-        for (const auto& [id, ref] : reference) {
-          if (!ref.alive) continue;
-          if (best == 0 || ref.time < reference[best].time ||
-              (ref.time == reference[best].time && id < best)) {
-            best = id;
-          }
-        }
-        ASSERT_NE(best, 0u);
-        ASSERT_EQ(t, reference[best].time) << "trial " << trial;
-        reference[best].alive = false;
+        popped = kInvalidEventId;
+        queue.Pop(&t)(t);
+        const auto [ref_time, ref_id] = *live.begin();
+        ASSERT_EQ(t, ref_time) << "trial " << trial << " op " << op;
+        ASSERT_EQ(popped, ref_id) << "trial " << trial << " op " << op;
+        live.erase(live.begin());
+        live_time.erase(ref_id);
+        dead.push_back(ref_id);
       }
+      ASSERT_EQ(queue.LiveCount(), live.size());
+      ASSERT_EQ(queue.NextTime(),
+                live.empty() ? kNeverTime : live.begin()->first);
     }
-    // Drain and compare live counts.
-    size_t live = 0;
-    for (const auto& [id, ref] : reference) live += ref.alive ? 1 : 0;
-    EXPECT_EQ(queue.LiveCount(), live);
   }
 }
 

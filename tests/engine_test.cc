@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,76 +60,108 @@ TEST(EventQueueTest, CancelInvalidIsNoop) {
 
 TEST(EventQueueTest, StaleCancelsLeaveNoTombstones) {
   EventQueue q;
-  std::vector<EventId> ids;
+  std::vector<EventId> fired_ids;
   for (int i = 0; i < 4; ++i) {
-    ids.push_back(q.Schedule(10 * (i + 1), [](SimTime) {}));
+    fired_ids.push_back(q.Schedule(10 * (i + 1), [](SimTime) {}));
   }
-  // Fire everything, then cancel each fired id repeatedly: every stale
-  // cancel must be a no-op, leaving cancelled_ empty and LiveCount() exact.
   while (!q.Empty()) {
     SimTime t;
     q.Pop(&t)(t);
   }
-  EXPECT_EQ(q.LiveCount(), 0u);
-  for (int round = 0; round < 3; ++round) {
-    for (EventId id : ids) q.Cancel(id);
-  }
-  EXPECT_EQ(q.CancelledCount(), 0u);
+  EventId cancelled = q.Schedule(5, [](SimTime) {});
+  q.Cancel(cancelled);
   EXPECT_EQ(q.LiveCount(), 0u);
 
-  // Mixed case: one live event plus stale cancels; the live count and the
-  // tombstone count track only real state.
+  // Four new events reuse the four freed slots. Every fired or cancelled id
+  // now names a slot that holds a later event; cancelling it, however
+  // often, must leave that event alone.
+  std::vector<int> fired;
+  for (int i = 0; i < 4; ++i) {
+    q.Schedule(100 + i, [&fired, i](SimTime) { fired.push_back(i); });
+  }
+  EXPECT_EQ(q.SlotCount(), 4u);
+  for (int round = 0; round < 3; ++round) {
+    for (EventId id : fired_ids) q.Cancel(id);
+    q.Cancel(cancelled);
+  }
+  EXPECT_EQ(q.LiveCount(), 4u);
+  while (!q.Empty()) {
+    SimTime t;
+    q.Pop(&t)(t);
+  }
+  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3}));
+
+  // A double cancel of a live id removes it once.
   EventId live = q.Schedule(1000, [](SimTime) {});
-  for (EventId id : ids) q.Cancel(id);
-  EXPECT_EQ(q.LiveCount(), 1u);
-  EXPECT_EQ(q.CancelledCount(), 0u);
+  EventId keeper = q.Schedule(2000, [](SimTime) {});
   q.Cancel(live);
-  EXPECT_EQ(q.LiveCount(), 0u);
-  q.Cancel(live);  // double cancel: no second tombstone
-  EXPECT_LE(q.CancelledCount(), 1u);
+  q.Cancel(live);
+  EXPECT_EQ(q.LiveCount(), 1u);
+  EXPECT_EQ(q.NextTime(), 2000);
+  q.Cancel(keeper);
   EXPECT_TRUE(q.Empty());
-  EXPECT_EQ(q.CancelledCount(), 0u);  // Empty() reclaimed the head tombstone
+  EXPECT_EQ(q.NextTime(), kNeverTime);
 }
 
 TEST(EventQueueTest, CancelHeavyRunsStayCompact) {
   // Schedule far-future events and cancel them long before they surface:
-  // lazy head-skipping alone would never reclaim these, so the amortized
-  // compaction must keep tombstones bounded by the live count + slack.
+  // a cancel frees its slot at once, so the slot array never grows past
+  // the peak number of live events.
   EventQueue q;
+  q.Schedule(5'000'000, [](SimTime) {});  // one long-lived bystander
   for (int wave = 0; wave < 100; ++wave) {
     std::vector<EventId> wave_ids;
     for (int i = 0; i < 100; ++i) {
       wave_ids.push_back(q.Schedule(1'000'000 + wave * 100 + i,
                                     [](SimTime) {}));
     }
-    for (EventId id : wave_ids) q.Cancel(id);
-    EXPECT_EQ(q.LiveCount(), 0u);
-    EXPECT_LE(q.CancelledCount(), 128u) << "wave " << wave;
+    // Cancel in an order that is neither heap nor scheduling order.
+    for (int i = 0; i < 100; ++i) q.Cancel(wave_ids[(i * 37) % 100]);
+    EXPECT_EQ(q.LiveCount(), 1u) << "wave " << wave;
+    EXPECT_EQ(q.SlotCount(), 101u) << "wave " << wave;
   }
-  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.NextTime(), 5'000'000);
 }
 
-TEST(EventQueueTest, CompactionPreservesOrderAndLiveEvents) {
+TEST(EventQueueTest, CancelWavesPreserveSurvivorOrder) {
   EventQueue q;
+  std::vector<std::pair<SimTime, int>> fired;
   std::vector<EventId> doomed;
-  std::vector<int> fired;
-  // Interleave keepers with a tombstone-heavy cancel wave that forces at
-  // least one compaction, then verify firing order of the survivors.
-  for (int i = 0; i < 10; ++i) {
-    int tag = 9 - i;
-    q.Schedule(100 + 10 * tag, [&fired, tag](SimTime) { fired.push_back(tag); });
+  // Survivors share times with each other and with the doomed events;
+  // they must fire by (time, scheduling order) whatever was cut around
+  // them in the heap.
+  int tag = 0;
+  for (int wave = 0; wave < 5; ++wave) {
+    for (int i = 0; i < 200; ++i) {
+      const SimTime t = 100 + (i * 7 + wave * 3) % 50;
+      if (i % 20 == wave) {
+        const int my_tag = tag++;
+        q.Schedule(t, [&fired, my_tag](SimTime now) {
+          fired.emplace_back(now, my_tag);
+        });
+      } else {
+        doomed.push_back(q.Schedule(t, [](SimTime) {}));
+      }
+    }
+    for (size_t i = 0; i < doomed.size(); i += 2) q.Cancel(doomed[i]);
+    for (size_t i = 1; i < doomed.size(); i += 2) q.Cancel(doomed[i]);
+    doomed.clear();
   }
-  for (int i = 0; i < 500; ++i) {
-    doomed.push_back(q.Schedule(10'000 + i, [](SimTime) {}));
-  }
-  for (EventId id : doomed) q.Cancel(id);
-  EXPECT_EQ(q.LiveCount(), 10u);
-  EXPECT_LE(q.CancelledCount(), 128u);
+  EXPECT_EQ(q.LiveCount(), 50u);
+  // The peak live count: the first four waves' 40 survivors plus the last
+  // wave's 200 events.
+  EXPECT_EQ(q.SlotCount(), 240u);
   while (!q.Empty()) {
     SimTime t;
     q.Pop(&t)(t);
   }
-  EXPECT_EQ(fired, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  ASSERT_EQ(fired.size(), 50u);
+  for (size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_TRUE(fired[i - 1].first < fired[i].first ||
+                (fired[i - 1].first == fired[i].first &&
+                 fired[i - 1].second < fired[i].second))
+        << "position " << i;
+  }
 }
 
 TEST(EventQueueTest, ConstQueriesWorkOnConstQueue) {
