@@ -141,10 +141,12 @@ BenchOptions ParseBenchArgs(int argc, char** argv,
     flags.push_back(IntFlag("-j", &options.jobs, 1, ""));
   }
   if (shared & kSolverJobsFlag) {
-    flags.push_back(IntFlag("--solver-jobs", &options.solver_jobs, 1,
-                            "=N  thread each solve / workload composition "
-                            "on N workers (default 1; composes with "
-                            "--jobs); results are bit-identical for any N"));
+    std::string help =
+        "=N  thread each solve / workload composition on N workers "
+        "(default 1";
+    if (shared & kJobsFlag) help += "; composes with --jobs";
+    help += "); results are bit-identical for any N";
+    flags.push_back(IntFlag("--solver-jobs", &options.solver_jobs, 1, help));
   }
   if (shared & kWarmStartFlag) {
     flags.push_back(SwitchFlag(

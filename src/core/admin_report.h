@@ -55,7 +55,7 @@ struct ServiceStatusReport {
   std::vector<GroupStatus> groups;
   std::vector<ScalingEvent> scaling_events;
   /// Per-template submit/complete counters — the operator's view of which
-  /// templates are hot enough for shared-scan batching to pay off.
+  /// templates carry the traffic.
   std::vector<TemplateUsage> template_usage;
 };
 

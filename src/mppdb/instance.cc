@@ -26,16 +26,6 @@ const char* InstanceStateToString(InstanceState state) {
   return "unknown";
 }
 
-const char* PsExecutorModeToString(PsExecutorMode mode) {
-  switch (mode) {
-    case PsExecutorMode::kVirtualTime:
-      return "virtual-time";
-    case PsExecutorMode::kSharedScan:
-      return "shared-scan";
-  }
-  return "unknown";
-}
-
 double QueryCompletion::NormalizedPerformance() const {
   if (reference_latency <= 0) return 0;
   return static_cast<double>(MeasuredLatency()) /
@@ -43,9 +33,8 @@ double QueryCompletion::NormalizedPerformance() const {
 }
 
 MppdbInstance::MppdbInstance(InstanceId id, int nodes, SimEngine* engine,
-                             InstanceState initial_state, PsExecutorMode mode)
-    : id_(id), nodes_(nodes), engine_(engine), state_(initial_state),
-      mode_(mode) {
+                             InstanceState initial_state)
+    : id_(id), nodes_(nodes), engine_(engine), state_(initial_state) {
   assert(nodes >= 1);
   assert(engine != nullptr);
   last_progress_update_ = engine->now();
@@ -89,10 +78,7 @@ double MppdbInstance::SpeedFactor() const {
 }
 
 void MppdbInstance::AdvanceVirtualTime(SimTime now) {
-  // The egalitarian share divides capacity among *slots*: shared batches in
-  // kSharedScan, individual queries otherwise (identical values — and
-  // identical FP arithmetic — whenever no batch has more than one member).
-  size_t k = SlotCount();
+  size_t k = heap_.size();
   if (k > 0 && now > last_progress_update_) {
     double share = SpeedFactor() / static_cast<double>(k);
     virtual_now_ +=
@@ -171,7 +157,7 @@ size_t MppdbInstance::RescheduleCompletion() {
   // tag - V is monotone in the tag, so the heap top's remaining work is
   // exactly the minimum over all running queries, bit for bit.
   const double min_remaining = heap_.front().finish_tag - virtual_now_;
-  double share = SpeedFactor() / static_cast<double>(SlotCount());
+  double share = SpeedFactor() / static_cast<double>(heap_.size());
   // Wall time until the least-remaining query completes under the current
   // share. Ceil so the event never fires before the true completion.
   SimDuration wait = static_cast<SimDuration>(
@@ -206,13 +192,6 @@ void MppdbInstance::OnCompletionEvent(SimTime now) {
             });
   std::vector<QueryCompletion> done;
   for (const RunningQuery& q : batch) done.push_back(MakeCompletion(q, now));
-  if (mode_ == PsExecutorMode::kSharedScan) {
-    // Free slots before rescheduling so the next event's share reflects the
-    // post-completion batch count. A batch's largest tag belongs to a
-    // still-pending member whenever the batch is open (completions are
-    // downward closed in tag order), so closing here is never premature.
-    for (const RunningQuery& q : batch) CloseOutBatchMember(q);
-  }
   for (const QueryCompletion& c : done) {
     auto it = running_per_tenant_.find(c.tenant_id);
     assert(it != running_per_tenant_.end());
@@ -230,16 +209,6 @@ void MppdbInstance::OnCompletionEvent(SimTime now) {
   // follow-up queries to this very instance.
   if (on_completion_) {
     for (const auto& c : done) on_completion_(c);
-  }
-}
-
-void MppdbInstance::CloseOutBatchMember(const RunningQuery& q) {
-  auto it = batches_.find(q.batch_key);
-  assert(it != batches_.end());
-  assert(it->second.members > 0);
-  if (--it->second.members == 0) {
-    open_batch_by_template_.erase(it->second.template_id);
-    batches_.erase(it);
   }
 }
 
@@ -274,67 +243,17 @@ Status MppdbInstance::Submit(const QuerySubmission& submission,
   q.dedicated_latency = tmpl.DedicatedLatency(it->second, nodes_);
   q.reference_latency = submission.reference_latency;
   q.admission_seq = ++admission_counter_;
-
-  bool joined_batch = false;
-  SimDuration slot_work = q.dedicated_latency;
-  auto open_it = mode_ == PsExecutorMode::kSharedScan
-                     ? open_batch_by_template_.find(tmpl.id)
-                     : open_batch_by_template_.end();
-  if (open_it != open_batch_by_template_.end()) {
-    // Merge into the in-flight batch for this template: the scan is already
-    // paid for, so the joiner only appends its serial + merge delta past the
-    // batch's last finish tag. Tags stay immutable and strictly increasing
-    // within a batch, so the heap invariant is untouched.
-    SharedBatch& batch = batches_.at(open_it->second);
-    slot_work = tmpl.SharedJoinDelta(it->second, nodes_);
-    q.finish_tag = batch.last_tag + static_cast<double>(slot_work);
-    q.batch_key = open_it->second;
-    batch.last_tag = q.finish_tag;
-    ++batch.members;
-    joined_batch = true;
-  } else {
-    // Identical tag arithmetic to kVirtualTime, so a shared-scan run whose
-    // batches are all singletons is bit-for-bit the virtual-time run.
-    q.finish_tag = virtual_now_ + static_cast<double>(q.dedicated_latency);
-    if (mode_ == PsExecutorMode::kSharedScan) {
-      uint64_t key = ++batch_counter_;
-      q.batch_key = key;
-      SharedBatch batch;
-      batch.template_id = tmpl.id;
-      batch.members = 1;
-      batch.last_tag = q.finish_tag;
-      batches_.emplace(key, batch);
-      open_batch_by_template_.emplace(tmpl.id, key);
-    }
-  }
-
-  // Concurrency is counted in slots: under shared scan a joiner does not
-  // raise the pressure on anyone else's share. With all-singleton batches
-  // SlotCount() (batch bookkeeping is already done, the query itself is not
-  // yet pushed) equals the non-shared heap size + 1, so the recorded
-  // peaks (and thus max_concurrency in completions) match byte for byte.
-  int k = mode_ == PsExecutorMode::kSharedScan
-              ? static_cast<int>(SlotCount())
-              : static_cast<int>(heap_.size()) + 1;
-  q.concurrency_at_admission = k;
+  q.finish_tag = virtual_now_ + static_cast<double>(q.dedicated_latency);
+  q.concurrency_at_admission = static_cast<int>(heap_.size()) + 1;
 
   heap_.push_back(q);
   uint64_t touched = 1 + HeapSiftUp(heap_.size() - 1);
   ++running_per_tenant_[q.tenant_id];
-  RecordConcurrencyPeak(q.admission_seq, k);
+  RecordConcurrencyPeak(q.admission_seq, q.concurrency_at_admission);
   touched += RescheduleCompletion();
   if (SimCostGauge* gauge = engine_->cost_gauge()) {
     gauge->RecordSubmit(touched);
     gauge->RecordRunningSetSize(heap_.size());
-    gauge->RecordSlotWork(static_cast<uint64_t>(q.dedicated_latency),
-                          static_cast<uint64_t>(slot_work));
-    if (mode_ == PsExecutorMode::kSharedScan) {
-      if (joined_batch) {
-        gauge->RecordBatchJoin();
-      } else {
-        gauge->RecordBatchOpen();
-      }
-    }
   }
   return Status::OK();
 }

@@ -15,22 +15,7 @@
 // completes when that drops to (an epsilon of) zero. Running queries sit in
 // a binary min-heap keyed (tag, admission_seq), so Submit and completion
 // handling are O(log k) and the next completion falls out of the heap top
-// in O(1). Two modes share that heap:
-//
-//   kVirtualTime: plain egalitarian processor sharing.
-//   kSharedScan (shared-execution batching): the virtual-time heap plus
-//     SharedDB-style scan sharing — co-resident queries of the same catalog
-//     template form a *shared batch* that occupies ONE processor-sharing
-//     slot. The batch leader pays its full dedicated work; each joiner pays
-//     only QueryTemplate::SharedJoinDelta (per-query serial work + merge
-//     overhead), appended as a catch-up tag past the batch's current last
-//     tag. Tags are immutable once assigned (heap invariants untouched);
-//     the share denominator is the number of open batches, not resident
-//     queries, so k same-template queries cost one slot. With all-distinct
-//     templates every batch has exactly one member, the slot count equals
-//     the query count, and the arithmetic degenerates tag-for-tag to
-//     kVirtualTime — the shared-off byte-identity gate in
-//     bench/bench_shared_scan rests on that.
+// in O(1).
 //
 // The historical O(k) linear sweep over a flat vector survives as a test
 // oracle (tests/oracles/dense_executor.h) running the *identical*
@@ -79,19 +64,6 @@ enum class InstanceState {
 
 const char* InstanceStateToString(InstanceState state);
 
-/// \brief How the processor-sharing executor divides capacity.
-enum class PsExecutorMode {
-  /// Finish-tag min-heap: O(log k) per admission/completion.
-  kVirtualTime,
-  /// Finish-tag min-heap with SharedDB-style same-template batching: one
-  /// shared scan (one PS slot) serves every co-resident query of a
-  /// template; joiners pay only a catch-up delta. Degenerates to
-  /// kVirtualTime byte-for-byte when no templates repeat.
-  kSharedScan,
-};
-
-const char* PsExecutorModeToString(PsExecutorMode mode);
-
 /// \brief Record delivered when a query finishes.
 struct QueryCompletion {
   QueryId query_id = -1;
@@ -136,13 +108,11 @@ class MppdbInstance {
   /// scaling) create it in kProvisioning and drive the state machine via
   /// SetState.
   MppdbInstance(InstanceId id, int nodes, SimEngine* engine,
-                InstanceState initial_state = InstanceState::kOnline,
-                PsExecutorMode mode = PsExecutorMode::kVirtualTime);
+                InstanceState initial_state = InstanceState::kOnline);
 
   InstanceId id() const { return id_; }
   int nodes() const { return nodes_; }
   InstanceState state() const { return state_; }
-  PsExecutorMode executor_mode() const { return mode_; }
 
   /// \brief Transitions the lifecycle state (provisioning flows only).
   void SetState(InstanceState state);
@@ -178,14 +148,6 @@ class MppdbInstance {
 
   /// \brief Number of queries currently executing.
   int Concurrency() const { return static_cast<int>(heap_.size()); }
-
-  /// \brief Number of processor-sharing slots currently occupied: shared
-  /// batches in kSharedScan (each serving >= 1 queries), otherwise equal to
-  /// Concurrency(). This is the denominator of the egalitarian share.
-  int SlotConcurrency() const { return static_cast<int>(SlotCount()); }
-
-  /// \brief Open shared batches (0 outside kSharedScan).
-  size_t shared_batches_open() const { return batches_.size(); }
 
   /// \brief Number of distinct tenants with queries currently executing.
   /// O(1) via the per-tenant running-count map.
@@ -223,25 +185,8 @@ class MppdbInstance {
     /// Admission order, for deterministic equal-tag ties and for the
     /// concurrency high-water query at completion.
     uint64_t admission_seq;
-    /// Concurrency right after this query's own admission (slot concurrency
-    /// in kSharedScan — the denominator the query's service rate felt).
+    /// Concurrency right after this query's own admission.
     int concurrency_at_admission;
-    /// kSharedScan: key into batches_ (0 = not part of a shared batch).
-    uint64_t batch_key = 0;
-  };
-
-  /// \brief One in-flight shared scan (kSharedScan): all co-resident
-  /// queries of one template, occupying a single processor-sharing slot.
-  /// Joinable until its last member completes, then closed for good (a
-  /// later same-template query opens a fresh batch).
-  struct SharedBatch {
-    TemplateId template_id = -1;
-    /// Pending (not yet completed) member queries.
-    size_t members = 0;
-    /// Highest finish tag assigned to a member so far. Strictly increasing
-    /// within the batch: the next joiner's tag is last_tag + its delta, so
-    /// every tag is immutable the moment it is assigned.
-    double last_tag = 0;
   };
 
   /// One entry per admission that raised the concurrency profile: the
@@ -253,17 +198,6 @@ class MppdbInstance {
     uint64_t seq;
     int concurrency;
   };
-
-  /// \brief Share denominator: open batches in kSharedScan, else the
-  /// running-query count (bit-identical arithmetic when they coincide).
-  size_t SlotCount() const {
-    return mode_ == PsExecutorMode::kSharedScan ? batches_.size()
-                                                : heap_.size();
-  }
-
-  /// \brief Removes a completed member from its batch; closes the batch
-  /// (freeing its slot) when the last member is gone.
-  void CloseOutBatchMember(const RunningQuery& q);
 
   /// \brief Advances the virtual clock to wall time `now`: O(1) for any k.
   void AdvanceVirtualTime(SimTime now);
@@ -300,7 +234,6 @@ class MppdbInstance {
   int nodes_;
   SimEngine* engine_;
   InstanceState state_;
-  PsExecutorMode mode_;
   int failed_nodes_ = 0;
 
   std::unordered_map<TenantId, double> tenant_data_gb_;
@@ -314,12 +247,6 @@ class MppdbInstance {
 
   /// Running queries: binary min-heap by (finish_tag, admission_seq).
   std::vector<RunningQuery> heap_;
-
-  /// kSharedScan: live batches by key, and the joinable (= live) batch of
-  /// each template. batches_.size() is the slot count.
-  std::unordered_map<uint64_t, SharedBatch> batches_;
-  std::unordered_map<TemplateId, uint64_t> open_batch_by_template_;
-  uint64_t batch_counter_ = 0;
 
   /// Count of running queries per tenant (entries erased at zero), making
   /// IsServingTenant O(1) and ActiveTenantCount O(1).

@@ -1,7 +1,6 @@
 #include "mppdb/query_model.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace thrifty {
 
@@ -15,15 +14,6 @@ SimDuration QueryTemplate::DedicatedLatency(double data_gb, int nodes) const {
   // Every query costs at least one tick so that completions are strictly
   // after submissions.
   return d > 0 ? d : 1;
-}
-
-SimDuration QueryTemplate::SharedJoinDelta(double data_gb, int nodes) const {
-  double fraction = serial_fraction + shared_overhead_fraction;
-  if (fraction > 1.0) fraction = 1.0;
-  SimDuration dedicated = DedicatedLatency(data_gb, nodes);
-  SimDuration delta = static_cast<SimDuration>(
-      std::ceil(static_cast<double>(dedicated) * fraction));
-  return delta > 0 ? delta : 1;
 }
 
 double QueryTemplate::Speedup(int nodes) const {

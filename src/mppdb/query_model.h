@@ -41,24 +41,8 @@ struct QueryTemplate {
   /// speed up with more nodes.
   double serial_fraction = 0.0;
 
-  /// Extra cost a same-template query adds when it joins an in-flight
-  /// shared scan (SharedDB-style batching, mppdb/instance.h kSharedScan),
-  /// as a fraction of its own dedicated latency *on top of* the serial
-  /// fraction: the scan itself (the parallel portion) is paid once per
-  /// batch, but per-query predicates, aggregation, and result construction
-  /// (the serial portion) plus a small merge overhead are paid per joiner.
-  double shared_overhead_fraction = 0.02;
-
   /// \brief Dedicated latency over `data_gb` of data on `nodes` nodes.
   SimDuration DedicatedLatency(double data_gb, int nodes) const;
-
-  /// \brief Work a joiner adds to an in-flight shared batch of this
-  /// template: (serial_fraction + shared_overhead_fraction) of the
-  /// joiner's own dedicated latency, ceil'd to whole ticks, >= 1 so batch
-  /// finish tags are strictly increasing. Templates that scale out
-  /// linearly (Q1-like, tiny serial fraction) share almost the whole scan;
-  /// serial-heavy templates (Q19-like) share far less.
-  SimDuration SharedJoinDelta(double data_gb, int nodes) const;
 
   /// \brief Speedup of `nodes` nodes relative to a single node.
   double Speedup(int nodes) const;

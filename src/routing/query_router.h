@@ -80,9 +80,8 @@ class GroupRouter {
   mutable std::unordered_map<RouteKind, int64_t> counters_;
 };
 
-/// \brief Per-template traffic counters kept by the router. Shared-scan
-/// batching only pays off on templates that are hot at the same time, so the
-/// admin report surfaces which templates carry the traffic.
+/// \brief Per-template traffic counters kept by the router: the operator's
+/// view of the template mix, surfaced by the admin report.
 struct TemplateTraffic {
   int64_t submitted = 0;
   int64_t completed = 0;

@@ -36,18 +36,6 @@ class SimCostGauge {
   /// \brief Samples the running-set size after a structural change.
   void RecordRunningSetSize(size_t size);
 
-  /// \brief One admitted query's work accounting: `query_work_ms` is the
-  /// dedicated work an independent execution would pay, `slot_work_ms` is
-  /// the work actually admitted into a processor-sharing slot (equal in the
-  /// non-shared executors; the batch-join delta for a shared-scan joiner).
-  void RecordSlotWork(uint64_t query_work_ms, uint64_t slot_work_ms);
-
-  /// \brief One shared batch opened (a leader claimed a new PS slot).
-  void RecordBatchOpen();
-
-  /// \brief One query merged into an in-flight shared batch.
-  void RecordBatchJoin();
-
   uint64_t completion_events() const {
     return completion_events_.load(std::memory_order_relaxed);
   }
@@ -58,41 +46,16 @@ class SimCostGauge {
   size_t peak_running_set() const {
     return peak_running_set_.load(std::memory_order_relaxed);
   }
-  uint64_t query_work_ms() const {
-    return query_work_ms_.load(std::memory_order_relaxed);
-  }
-  uint64_t slot_work_ms() const {
-    return slot_work_ms_.load(std::memory_order_relaxed);
-  }
-  uint64_t shared_batches() const {
-    return shared_batches_.load(std::memory_order_relaxed);
-  }
-  uint64_t shared_joins() const {
-    return shared_joins_.load(std::memory_order_relaxed);
-  }
 
   /// \brief Mean records touched per executor event (submits + completions);
   /// 0 when nothing was recorded.
   double TouchedPerEvent() const;
-
-  /// \brief Effective-work reduction from shared execution: dedicated work
-  /// of all admitted queries divided by the slot work actually served.
-  /// 1.0 for the non-shared executors (and when nothing was admitted).
-  double SharedWorkRatio() const;
-
-  /// \brief Fraction of admissions that merged into an in-flight batch
-  /// instead of claiming a slot (0 when no shared admissions happened).
-  double SharedHitRate() const;
 
  private:
   std::atomic<uint64_t> completion_events_{0};
   std::atomic<uint64_t> submits_{0};
   std::atomic<uint64_t> queries_touched_{0};
   std::atomic<size_t> peak_running_set_{0};
-  std::atomic<uint64_t> query_work_ms_{0};
-  std::atomic<uint64_t> slot_work_ms_{0};
-  std::atomic<uint64_t> shared_batches_{0};
-  std::atomic<uint64_t> shared_joins_{0};
 };
 
 }  // namespace thrifty

@@ -1,5 +1,5 @@
 // Randomized equivalence harness for the virtual-time processor-sharing
-// executor: MppdbInstance (kVirtualTime, finish-tag min-heap) and the
+// executor: MppdbInstance (finish-tag min-heap) and the
 // DenseExecutor test oracle (O(k) linear sweep, historical max_concurrency
 // write-back) must emit byte-identical (finish_time, query_id,
 // max_concurrency) completion streams and agree on every derived observable

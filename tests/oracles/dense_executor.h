@@ -8,8 +8,8 @@
 // every admission to write the new concurrency back into each running
 // query's high-water mark.
 //
-// It runs the identical floating-point arithmetic as MppdbInstance in
-// kVirtualTime mode (same virtual clock V and busy-period rebase, same
+// It runs the identical floating-point arithmetic as MppdbInstance's
+// virtual-time executor (same virtual clock V and busy-period rebase, same
 // immutable finish tags, same tag - V subtraction, same ceil quantization
 // of the next-event wall time) and schedules on the same SimEngine the
 // same way. The two therefore emit byte-identical completion streams and
@@ -31,7 +31,7 @@
 namespace thrifty {
 
 /// \brief Linear-sweep processor-sharing executor (reference for
-/// MppdbInstance's kVirtualTime heap).
+/// MppdbInstance's virtual-time heap).
 class DenseExecutor {
  public:
   using CompletionCallback = MppdbInstance::CompletionCallback;

@@ -33,6 +33,9 @@ TEST(QueryModelTest, SerialFractionLimitsSpeedup) {
   EXPECT_LT(t.Speedup(1000), 2.0);
   EXPECT_NEAR(t.Speedup(1000), 2.0, 0.01);
   EXPECT_NEAR(t.Speedup(2), 1.0 / (0.5 + 0.25), 1e-12);
+  // 100 GB x 1 s/GB x (0.2 + 0.8/4) = 40 s on 4 nodes.
+  t.serial_fraction = 0.2;
+  EXPECT_EQ(t.DedicatedLatency(100, 4), 40 * kSecond);
 }
 
 TEST(QueryModelTest, LatencyMonotoneDecreasingInNodes) {
